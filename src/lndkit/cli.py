@@ -33,8 +33,6 @@ from .kernel import KernelStatus, Slice, kernel_check, kernel_compute
 from .parse import parse_polynomial, print_canonical
 from .poly import Point, Ring
 
-_BUILTIN_DERIVATIONS = ("D", "Delta", "DeltaPrime")
-
 
 def _split_csv(text: str) -> list[str]:
     items = [piece.strip() for piece in text.split(",")]
@@ -68,7 +66,7 @@ def _derivation_from(args) -> Derivation:
         if name not in table:
             raise ValueError(
                 f"unknown builtin derivation {name!r}; "
-                f"choose from {', '.join(_BUILTIN_DERIVATIONS)}"
+                f"choose from {', '.join(table)}"
             )
         derivation = table[name]
     else:
@@ -453,10 +451,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except LndError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (LndError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,14 +104,10 @@ class Derivation:
 
     def nilpotency_index(self, f: Polynomial, cap: int | None = None) -> int | None:
         """Least n with D^n f = 0, or None if not reached within the cap."""
-        limit = NILPOTENCY_CAP if cap is None else cap
-        n = 0
-        while not f.is_zero():
-            if n >= limit:
-                return None
-            f = self.apply(f)
-            n += 1
-        return n
+        try:
+            return sum(1 for _ in self.iterates(f, cap))
+        except NilpotencyCapError:
+            return None
 
     def is_locally_nilpotent(self, cap: int | None = None) -> bool:
         """Whether every variable is annihilated by some iterate.

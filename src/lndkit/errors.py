@@ -77,6 +77,3 @@ class NonInvariantCandidateError(LndError):
         super().__init__(message)
         self.witness = witness
 
-
-class DivisionImpossibleError(LndError):
-    """A quotient required by an algorithm does not exist in the ring."""

@@ -10,8 +10,7 @@ lcms.  Output bases are reduced and monic, hence unique for a given
 ideal and order, with generators sorted ascending by leading monomial.
 
 Internally monomials are packed into single integers (see _Packing) so
-the hot loops run on machine comparisons instead of tuple traversals,
-and coefficients run on gmpy2 rationals when that package is available.
+the hot loops run on machine comparisons instead of tuple traversals.
 Subalgebra testers against weighted-homogeneous elements grow their
 basis lazily, degree by degree, just far enough to answer each
 membership query.
@@ -27,12 +26,8 @@ from typing import Callable, Sequence
 from .errors import ExponentOverflowError, RingMismatchError
 from .poly import Polynomial, Ring, RingMap, grlex_key
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
-
-_QZERO = _Q(0)
+# the one coefficient type, named for tools that report it
+_Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -182,14 +177,21 @@ class _Packing:
         mask = self.mask
         return tuple((p >> s) & mask for s in self.raw_shifts)
 
-    def pack_dict(self, d: dict) -> dict:
-        return {self.pack(m): _Q(c) for m, c in d.items()}
+    def pack_poly(self, f: Polynomial) -> dict:
+        """Packed terms of f.
 
-    def unpack_dict(self, d: dict) -> dict:
-        return {
-            self.unpack(p): Fraction(int(c.numerator), int(c.denominator))
-            for p, c in d.items()
-        }
+        A polynomial over fewer variables than the packing fills the
+        leading ones.
+        """
+        return {self.pack(m): c for m, c in f.term_dict().items()}
+
+    def unpack_poly(self, ring: Ring, d: dict, start: int = 0) -> Polynomial:
+        """The packed terms d as a polynomial of ring.
+
+        The first start exponents of every monomial are dropped.
+        """
+        unpack = self.unpack
+        return Polynomial(ring, {unpack(p)[start:]: c for p, c in d.items()})
 
 
 def _checked(p: int, guard: int) -> int:
@@ -203,12 +205,11 @@ def _checked(p: int, guard: int) -> int:
 # with all monomials packed.
 
 
-def _make_monic(d: dict) -> tuple[int, object, dict]:
-    lm = max(d)
-    lc = d[lm]
+def _make_monic(d: dict) -> dict:
+    lc = d[max(d)]
     if lc != 1:
         d = {m: c / lc for m, c in d.items()}
-    return lm, d[lm], d
+    return d
 
 
 def _entry(d: dict) -> tuple:
@@ -308,7 +309,7 @@ def _spoly(a: tuple, b: tuple, lcm: int, guard: int) -> dict:
         out[_checked(m + sa, guard)] = c / lca
     for m, c in fb.items():
         mm = _checked(m + sb, guard)
-        val = out.get(mm, _QZERO) - c / lcb
+        val = out.get(mm, 0) - c / lcb
         if val:
             out[mm] = val
         else:
@@ -357,7 +358,7 @@ class _Engine:
         self.pair_heap: list[tuple] = []
         self.reducer = _Reducer(self.basis, self.guard)
         self._reduced: list[dict] | None = None
-        for d in pdicts:
+        for d in sorted(pdicts, key=lambda d: (max(d), sorted(d.items()))):
             self._adjoin(dict(d))
 
     def _update(self, t: int) -> None:
@@ -411,7 +412,7 @@ class _Engine:
                 alive[i] = False
 
     def _adjoin(self, d: dict) -> None:
-        self.basis.append(_entry(_make_monic(d)[2]))
+        self.basis.append(_entry(_make_monic(d)))
         self.lm_tuples.append(self.packing.unpack(self.basis[-1][0]))
         self.alive.append(True)
         self._update(len(self.basis) - 1)
@@ -467,13 +468,9 @@ def _interreduce(basis: Sequence[tuple], packing: _Packing) -> list[dict]:
     for i, entry in enumerate(kept):
         others = [kept[k] for k in range(len(kept)) if k != i]
         nf = _Reducer(others, guard).reduce(entry[2]) if others else dict(entry[2])
-        reduced.append(_make_monic(nf)[2])
+        reduced.append(_make_monic(nf))
     reduced.sort(key=max)
     return reduced
-
-
-def _buchberger_packed(pdicts: Sequence[dict], packing: _Packing) -> list[dict]:
-    return _Engine(pdicts, packing).reduced()
 
 
 def _common_ring(polys: Sequence[Polynomial]) -> Ring:
@@ -489,13 +486,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         raise ValueError("s-polynomial of zero is undefined")
     ring = _common_ring([f, g])
     packing = _Packing(order, ring.nvars)
-    ea = _entry(packing.pack_dict(f.term_dict()))
-    eb = _entry(packing.pack_dict(g.term_dict()))
+    ea = _entry(packing.pack_poly(f))
+    eb = _entry(packing.pack_poly(g))
     lcm = tuple(
         max(x, y) for x, y in zip(packing.unpack(ea[0]), packing.unpack(eb[0]))
     )
     out = _spoly(ea, eb, packing.pack(lcm), packing.guard)
-    return Polynomial(ring, packing.unpack_dict(out))
+    return packing.unpack_poly(ring, out)
 
 
 def normal_form(
@@ -511,9 +508,9 @@ def normal_form(
         return f
     ring = _common_ring([f, *nonzero])
     packing = _Packing(order, ring.nvars)
-    entries = [_entry(packing.pack_dict(g.term_dict())) for g in nonzero]
+    entries = [_entry(packing.pack_poly(g)) for g in nonzero]
     reducer = _Reducer(entries, packing.guard)
-    return Polynomial(ring, packing.unpack_dict(reducer.reduce(packing.pack_dict(f.term_dict()))))
+    return packing.unpack_poly(ring, reducer.reduce(packing.pack_poly(f)))
 
 
 def buchberger(
@@ -525,10 +522,8 @@ def buchberger(
         return ()
     ring = _common_ring(gens)
     packing = _Packing(order, ring.nvars)
-    pdicts = [packing.pack_dict(g.term_dict()) for g in gens]
-    pdicts.sort(key=lambda d: (max(d), sorted(d.items())))
-    reduced = _buchberger_packed(pdicts, packing)
-    return tuple(Polynomial(ring, packing.unpack_dict(d)) for d in reduced)
+    reduced = _Engine([packing.pack_poly(g) for g in gens], packing).reduced()
+    return tuple(packing.unpack_poly(ring, d) for d in reduced)
 
 
 def ideal_membership(
@@ -628,15 +623,11 @@ class SubalgebraTester:
             if len(degrees) > 1:
                 homogeneous = False
             tag_weights.append(max(degrees) if degrees else 1)
-        pad = (0,) * len(self.tags)
         ideal = []
-        for g, tag in zip(elements, self.tags):
-            d = {m + pad: c for m, c in g.term_dict().items()}
-            ti = self.extended.index(tag)
-            tag_mono = tuple(1 if k == ti else 0 for k in range(self.extended.nvars))
-            d[tag_mono] = d.get(tag_mono, Fraction(0)) - 1
-            ideal.append(packing.pack_dict(d))
-        ideal.sort(key=lambda d: (max(d), sorted(d.items())))
+        for i, g in enumerate(elements):
+            d = packing.pack_poly(g)
+            d[packing.units[ring.nvars + i]] = Fraction(-1)
+            ideal.append(d)
         self._packing = packing
         self._engine = _Engine(
             ideal, packing, self._ring_weights + tuple(tag_weights)
@@ -662,21 +653,11 @@ class SubalgebraTester:
                     for m in terms
                 )
             )
-        pad = (0,) * len(self.tags)
-        remainder = self._engine.reducer.reduce(
-            {packing.pack(m + pad): c for m, c in terms.items()}
-        )
+        remainder = self._engine.reducer.reduce(packing.pack_poly(f))
         bound = self._tag_bound
         if any(p >= bound for p in remainder):
             return None
-        n = self._nvars
-        return Polynomial(
-            self.tag_ring,
-            {
-                packing.unpack(p)[n:]: Fraction(int(c.numerator), int(c.denominator))
-                for p, c in remainder.items()
-            },
-        )
+        return packing.unpack_poly(self.tag_ring, remainder, self._nvars)
 
     def contains(self, f: Polynomial) -> bool:
         return self.representation(f) is not None
@@ -685,17 +666,18 @@ class SubalgebraTester:
         """The fully completed reduced Groebner basis of the tag ideal."""
         packing = self._packing
         return tuple(
-            Polynomial(self.extended, packing.unpack_dict(d))
-            for d in self._engine.reduced()
+            packing.unpack_poly(self.extended, d) for d in self._engine.reduced()
         )
 
     def relation_generators(self) -> tuple[Polynomial, ...]:
         """Reduced Groebner basis of the relations among the elements."""
-        n = self._nvars
+        # under the elimination order a tag-only lead means a tag-only element
+        packing = self._packing
+        bound = self._tag_bound
         out = [
-            Polynomial(self.tag_ring, {m[n:]: c for m, c in g.term_dict().items()})
-            for g in self.basis()
-            if not any(any(m[:n]) for m in g.term_dict())
+            packing.unpack_poly(self.tag_ring, d, self._nvars)
+            for d in self._engine.reduced()
+            if max(d) < bound
         ]
         out.sort(key=lambda p: grlex_key(p.leading_term()[0]))
         return tuple(out)

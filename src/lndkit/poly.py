@@ -27,7 +27,6 @@ from .errors import (
     UnknownVariableError,
 )
 
-Rational = Fraction
 Monomial = tuple  # exponent tuple, one entry per ring variable
 Scalar = Union[int, Fraction]
 
@@ -300,9 +299,8 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
             n >>= 1
-            if base_needed and n:
+            if n:
                 base = base * base
         return result
 

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from lndkit import (
@@ -32,6 +33,7 @@ from lndkit import (
     subalgebra_membership,
 )
 from lndkit.groebner import _Packing
+from lndkit.poly import grlex_key
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -122,6 +124,36 @@ def test_packing_overflow():
         packing.pack((20000, 20000))
     # just under the limit is fine
     assert packing.unpack(packing.pack((32767, 0))) == (32767, 0)
+
+
+EXT = Ring(("x", "y", "X1", "X2"))
+TAGS = Ring(("X1", "X2"))
+
+
+@st.composite
+def _polys(draw, ring):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 6)] * ring.nvars),
+            st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+            max_size=5,
+        )
+    )
+    return Polynomial(ring, terms)
+
+
+@given(st.sampled_from(ORDERS), _polys(EXT), _polys(R2))
+def test_pack_poly_round_trip(order, f, g):
+    packing = _Packing(order, EXT.nvars)
+    assert packing.unpack_poly(EXT, packing.pack_poly(f)) == f
+    # a base-ring polynomial fills the leading variables of a wider packing
+    lifted = packing.unpack_poly(EXT, packing.pack_poly(g))
+    assert lifted == Polynomial(EXT, {m + (0, 0): c for m, c in g.term_dict().items()})
+    # start drops the leading exponents on the way back out
+    tagged = Polynomial(EXT, {(0, 0) + m: c for m, c in g.term_dict().items()})
+    assert packing.unpack_poly(TAGS, packing.pack_poly(tagged), 2) == Polynomial(
+        TAGS, g.term_dict()
+    )
 
 
 def test_overflow_surfaces_through_buchberger():
@@ -390,3 +422,45 @@ def test_subalgebra_membership_convenience():
     rep = subalgebra_membership(X2**2 + Y2**2, [X2 + Y2, X2 * Y2])
     assert rep is not None and str(rep) == "X1^2 - 2*X2"
     assert subalgebra_membership(X2 - Y2, [X2 + Y2, X2 * Y2]) is None
+
+
+def _quotient_tester(context):
+    # f1..f4 of the bundled example reduced mod x
+    ring = context.ring
+    to_quotient = RingMap.from_mapping(ring, ring, {"x": ring.zero()})
+    return SubalgebraTester([to_quotient(f) for f in context.generators[:4]])
+
+
+def test_coefficients_are_plain_fractions(context):
+    order = MonomialOrder.grlex()
+    f, g = 3 * Y - 2 * X**2, 5 * Z - 7 * X**3
+    tester = SubalgebraTester([X2 + Y2, 2 * X2 * Y2])
+    quotient = _quotient_tester(context)
+    s = context.ring.var("s")
+    results = [
+        *buchberger([f, g], order),
+        normal_form(X**4 + Y, [f, g], order),
+        s_polynomial(f, g, order),
+        tester.representation(X2**2 + Y2**2),
+        quotient.representation(s**6 - s**2),
+        *quotient.basis(),
+        *quotient.relation_generators(),
+    ]
+    assert all(p is not None and p for p in results)
+    for p in results:
+        for _, c in p:
+            assert type(c) is Fraction
+            assert type(c.numerator) is int and type(c.denominator) is int
+
+
+def test_relation_generators_are_tag_only_basis_elements(context):
+    tester = _quotient_tester(context)
+    n = context.ring.nvars
+    expected = [
+        Polynomial(tester.tag_ring, {m[n:]: c for m, c in g.term_dict().items()})
+        for g in tester.basis()
+        if not any(any(m[:n]) for m in g.term_dict())
+    ]
+    expected.sort(key=lambda p: grlex_key(p.leading_term()[0]))
+    assert len(expected) == 4
+    assert tester.relation_generators() == tuple(expected)
