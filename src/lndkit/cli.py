@@ -41,6 +41,23 @@ def _split_csv(text: str) -> list[str]:
     return items
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational number: {text!r}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _ring_from(args) -> Ring:
     if getattr(args, "ring", None) is None:
         if getattr(args, "weights", None) is not None:
@@ -72,17 +89,7 @@ def _derivation_from(args) -> Derivation:
     else:
         with open(spec, encoding="utf-8") as handle:
             data = json.load(handle)
-        ring_data = data["ring"]
-        weights = ring_data.get("weights")
-        ring = Ring(
-            tuple(ring_data["vars"]),
-            tuple(weights) if weights is not None else None,
-        )
-        images = {
-            name: parse_polynomial(text, ring)
-            for name, text in data["derivation"].items()
-        }
-        derivation = Derivation.from_mapping(ring, images)
+        derivation = _derivation_from_json(data)
     if getattr(args, "ring", None) is not None:
         declared = _ring_from(args)
         if declared != derivation.ring:
@@ -93,8 +100,33 @@ def _derivation_from(args) -> Derivation:
     return derivation
 
 
+def _derivation_from_json(data) -> Derivation:
+    if not isinstance(data, dict):
+        raise ValueError("derivation file: the top level must be an object")
+    ring_data = data.get("ring")
+    if not isinstance(ring_data, dict):
+        raise ValueError('derivation file: "ring" must be an object')
+    names = ring_data.get("vars")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError('derivation file: "ring.vars" must be a list of strings')
+    weights = ring_data.get("weights")
+    if weights is not None and not isinstance(weights, list):
+        raise ValueError('derivation file: "ring.weights" must be a list')
+    table = data.get("derivation")
+    if not isinstance(table, dict) or not all(
+        isinstance(text, str) for text in table.values()
+    ):
+        raise ValueError(
+            'derivation file: "derivation" must be an object mapping '
+            "variable names to polynomial strings"
+        )
+    ring = Ring(tuple(names), tuple(weights) if weights is not None else None)
+    images = {name: parse_polynomial(text, ring) for name, text in table.items()}
+    return Derivation.from_mapping(ring, images)
+
+
 def _parse_point(text: str, ring: Ring) -> Point:
-    coords = [Fraction(piece) for piece in _split_csv(text)]
+    coords = [_rational(piece) for piece in _split_csv(text)]
     return Point(ring, tuple(coords))
 
 
@@ -113,7 +145,7 @@ def _cmd_eval(args) -> int:
     p = parse_polynomial(args.expr, ring)
     if args.at is not None:
         assignments = dict(piece.split("=", 1) for piece in _split_csv(args.at))
-        coords = [Fraction(assignments.pop(name, 0)) for name in ring.variables]
+        coords = [_rational(assignments.pop(name, "0")) for name in ring.variables]
         if assignments:
             raise ValueError(f"unknown variables in --at: {sorted(assignments)}")
         value = p.evaluate(Point(ring, tuple(coords)))
@@ -145,7 +177,7 @@ def _cmd_exp(args) -> int:
 def _cmd_act(args) -> int:
     derivation = _derivation_from(args)
     point = _parse_point(args.point, derivation.ring)
-    moved = derivation.orbit_point(Fraction(args.parameter), point)
+    moved = derivation.orbit_point(_rational(args.parameter), point)
     coords = [str(c) for c in moved.coordinates]
     _emit(args, {"point": coords}, ",".join(coords))
     return 0
@@ -395,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         "localized variable (default: inferred)",
     )
     slice_opts.add_argument(
-        "--division-bound", type=int, default=None,
+        "--division-bound", type=_nonnegative_int, default=None,
         help="extra factors of the localized variable to try in the "
         "sufficiency test (default 16)",
     )

@@ -10,7 +10,11 @@ lcms.  Output bases are reduced and monic, hence unique for a given
 ideal and order, with generators sorted ascending by leading monomial.
 
 Internally monomials are packed into single integers (see _Packing) so
-the hot loops run on machine comparisons instead of tuple traversals.
+the hot loops run on machine comparisons instead of tuple traversals,
+and coefficients are plain integers: every basis element is kept
+primitive (content 1, positive leading coefficient) and division runs
+fraction-free, so no Fraction is built inside the engine.  Coefficients
+cross the public API as Fractions.
 Subalgebra testers against weighted-homogeneous elements grow their
 basis lazily, degree by degree, just far enough to answer each
 membership query.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import ExponentOverflowError, RingMismatchError
@@ -185,13 +190,19 @@ class _Packing:
         """
         return {self.pack(m): c for m, c in f.term_dict().items()}
 
-    def unpack_poly(self, ring: Ring, d: dict, start: int = 0) -> Polynomial:
-        """The packed terms d as a polynomial of ring.
+    def unpack_poly(
+        self, ring: Ring, d: dict, start: int = 0, den: int = 1
+    ) -> Polynomial:
+        """The packed terms d, divided by den, as a polynomial of ring.
 
         The first start exponents of every monomial are dropped.
         """
         unpack = self.unpack
-        return Polynomial(ring, {unpack(p)[start:]: c for p, c in d.items()})
+        if den == 1:
+            return Polynomial(ring, {unpack(p)[start:]: c for p, c in d.items()})
+        return Polynomial(
+            ring, {unpack(p)[start:]: Fraction(c, den) for p, c in d.items()}
+        )
 
 
 def _checked(p: int, guard: int) -> int:
@@ -202,13 +213,27 @@ def _checked(p: int, guard: int) -> int:
 
 # -- packed-dict engine ----------------------------------------------------
 # Entries are (leading monomial, leading coefficient, dict, tail items)
-# with all monomials packed.
+# with all monomials packed and all coefficients integers, the dict
+# primitive.
 
 
-def _make_monic(d: dict) -> dict:
-    lc = d[max(d)]
-    if lc != 1:
-        d = {m: c / lc for m, c in d.items()}
+def _cleared(d: dict) -> tuple[dict, int]:
+    """(R, den) with integer coefficients R and d = R/den.
+
+    d may hold ints or Fractions.
+    """
+    den = lcm(*[c.denominator for c in d.values()])
+    return {m: c.numerator * (den // c.denominator) for m, c in d.items()}, den
+
+
+def _primitive(d: dict) -> dict:
+    """The integer multiple of nonzero d with content 1 and positive lead."""
+    d = _cleared(d)[0]
+    g = gcd(*d.values())
+    if d[max(d)] < 0:
+        g = -g
+    if g != 1:
+        d = {m: c // g for m, c in d.items()}
     return d
 
 
@@ -219,7 +244,8 @@ def _entry(d: dict) -> tuple:
 
 
 class _Reducer:
-    """Multivariate division against a growable list of basis entries.
+    """Fraction-free multivariate division against a growable list of
+    basis entries.
 
     Keeps a first-divisor cache keyed by leading monomial.  Entries only
     ever get appended and divisors are scanned in list order, so a cached
@@ -253,14 +279,17 @@ class _Reducer:
         self._cache[lead] = (-1, n)
         return -1
 
-    def reduce(self, f: dict) -> dict:
-        """Full normal form of f; consumes a private copy.
+    def reduce(self, f: dict) -> tuple[dict, int]:
+        """Full normal form of f as (R, den), meaning R/den.
 
+        R has integer coefficients; f may hold ints or Fractions and is
+        left untouched.  A divisor with leading coefficient lc cancels a
+        term c by first scaling everything, den included, by lc/gcd(lc, c).
         Tracks the current leading term with a lazy max-heap: every
         monomial of f has at least one heap entry, stale entries are
         skipped on pop.
         """
-        f = dict(f)
+        f, den = _cleared(f)
         remainder: dict = {}
         entries = self.entries
         guard = self.guard
@@ -279,7 +308,16 @@ class _Reducer:
                 continue
             lm, lc, _, tail = entries[k]
             shift = lead - lm
-            scale = coeff if lc == 1 else coeff / lc
+            if lc == 1:
+                scale = coeff
+            else:
+                g = gcd(lc, coeff)
+                scale = coeff // g
+                if g != lc:
+                    mult = lc // g
+                    den *= mult
+                    f = {m: c * mult for m, c in f.items()}
+                    remainder = {m: c * mult for m, c in remainder.items()}
             plain = scale == 1
             for m, gc in tail:
                 mm = m + shift
@@ -297,19 +335,22 @@ class _Reducer:
                         f[mm] = val
                     else:
                         del f[mm]
-        return remainder
+        return remainder, den
 
 
-def _spoly(a: tuple, b: tuple, lcm: int, guard: int) -> dict:
+def _spoly(a: tuple, b: tuple, plcm: int, guard: int) -> dict:
+    """(lcb/g)*x^sa*A - (lca/g)*x^sb*B with g = gcd(lca, lcb), in integers."""
     lma, lca, fa, _ = a
     lmb, lcb, fb, _ = b
-    sa, sb = lcm - lma, lcm - lmb
+    sa, sb = plcm - lma, plcm - lmb
+    g = gcd(lca, lcb)
+    ca, cb = lcb // g, lca // g
     out: dict = {}
     for m, c in fa.items():
-        out[_checked(m + sa, guard)] = c / lca
+        out[_checked(m + sa, guard)] = ca * c
     for m, c in fb.items():
         mm = _checked(m + sb, guard)
-        val = out.get(mm, 0) - c / lcb
+        val = out.get(mm, 0) - cb * c
         if val:
             out[mm] = val
         else:
@@ -318,7 +359,7 @@ def _spoly(a: tuple, b: tuple, lcm: int, guard: int) -> dict:
 
 
 class _Engine:
-    """Resumable Buchberger loop on packed dicts.
+    """Resumable Buchberger loop on packed, primitive integer dicts.
 
     Pairs pop by weighted lcm degree (weights default to all ones), then
     the order rank of the lcm, then indices.  The pair set is maintained
@@ -334,7 +375,8 @@ class _Engine:
     degree never decreases, so after complete_to(d) the basis computes
     exact normal forms for anything of weighted degree at most d; the
     reducer's full reduction then yields the canonical normal form even
-    though the working basis is not interreduced.
+    though the working basis is not interreduced.  Every adjoined
+    element is made primitive, so the basis carries no denominators.
     """
 
     __slots__ = (
@@ -359,7 +401,7 @@ class _Engine:
         self.reducer = _Reducer(self.basis, self.guard)
         self._reduced: list[dict] | None = None
         for d in sorted(pdicts, key=lambda d: (max(d), sorted(d.items()))):
-            self._adjoin(dict(d))
+            self._adjoin(d)
 
     def _update(self, t: int) -> None:
         packing = self.packing
@@ -412,7 +454,7 @@ class _Engine:
                 alive[i] = False
 
     def _adjoin(self, d: dict) -> None:
-        self.basis.append(_entry(_make_monic(d)))
+        self.basis.append(_entry(_primitive(d)))
         self.lm_tuples.append(self.packing.unpack(self.basis[-1][0]))
         self.alive.append(True)
         self._update(len(self.basis) - 1)
@@ -421,7 +463,7 @@ class _Engine:
         _, plcm, i, j = heapq.heappop(self.pair_heap)
         if self.pairs.pop((i, j), None) is None:
             return
-        remainder = self.reducer.reduce(
+        remainder, _ = self.reducer.reduce(
             _spoly(self.basis[i], self.basis[j], plcm, self.guard)
         )
         if remainder:
@@ -438,7 +480,8 @@ class _Engine:
             self._step()
 
     def reduced(self) -> list[dict]:
-        """The reduced monic basis, sorted ascending by leading monomial."""
+        """The reduced monic basis with Fraction coefficients, sorted
+        ascending by leading monomial."""
         if self._reduced is None:
             self.complete()
             self._reduced = _interreduce(self.basis, self.packing)
@@ -467,8 +510,9 @@ def _interreduce(basis: Sequence[tuple], packing: _Packing) -> list[dict]:
     reduced: list[dict] = []
     for i, entry in enumerate(kept):
         others = [kept[k] for k in range(len(kept)) if k != i]
-        nf = _Reducer(others, guard).reduce(entry[2]) if others else dict(entry[2])
-        reduced.append(_make_monic(nf))
+        nf = _Reducer(others, guard).reduce(entry[2])[0] if others else entry[2]
+        lc = nf[max(nf)]
+        reduced.append({m: Fraction(c, lc) for m, c in nf.items()})
     reduced.sort(key=max)
     return reduced
 
@@ -482,17 +526,19 @@ def _common_ring(polys: Sequence[Polynomial]) -> Ring:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """x^a*f/lc(f) - x^b*g/lc(g), with x^a*lm(f) = x^b*lm(g) their lcm."""
     if f.is_zero() or g.is_zero():
         raise ValueError("s-polynomial of zero is undefined")
     ring = _common_ring([f, g])
     packing = _Packing(order, ring.nvars)
-    ea = _entry(packing.pack_poly(f))
-    eb = _entry(packing.pack_poly(g))
-    lcm = tuple(
-        max(x, y) for x, y in zip(packing.unpack(ea[0]), packing.unpack(eb[0]))
+    ea = _entry(_primitive(packing.pack_poly(f)))
+    eb = _entry(_primitive(packing.pack_poly(g)))
+    plcm = packing.pack(
+        tuple(max(x, y) for x, y in zip(packing.unpack(ea[0]), packing.unpack(eb[0])))
     )
-    out = _spoly(ea, eb, packing.pack(lcm), packing.guard)
-    return packing.unpack_poly(ring, out)
+    # the integer s-polynomial of the primitive parts is lcm(lca, lcb) times it
+    out = _spoly(ea, eb, plcm, packing.guard)
+    return packing.unpack_poly(ring, out, den=lcm(ea[1], eb[1]))
 
 
 def normal_form(
@@ -508,9 +554,11 @@ def normal_form(
         return f
     ring = _common_ring([f, *nonzero])
     packing = _Packing(order, ring.nvars)
-    entries = [_entry(packing.pack_poly(g)) for g in nonzero]
-    reducer = _Reducer(entries, packing.guard)
-    return packing.unpack_poly(ring, reducer.reduce(packing.pack_poly(f)))
+    # scaling a divisor leaves every step's cancellation, hence the
+    # remainder, unchanged
+    entries = [_entry(_primitive(packing.pack_poly(g))) for g in nonzero]
+    remainder, den = _Reducer(entries, packing.guard).reduce(packing.pack_poly(f))
+    return packing.unpack_poly(ring, remainder, den=den)
 
 
 def buchberger(
@@ -626,7 +674,7 @@ class SubalgebraTester:
         ideal = []
         for i, g in enumerate(elements):
             d = packing.pack_poly(g)
-            d[packing.units[ring.nvars + i]] = Fraction(-1)
+            d[packing.units[ring.nvars + i]] = -1
             ideal.append(d)
         self._packing = packing
         self._engine = _Engine(
@@ -653,11 +701,11 @@ class SubalgebraTester:
                     for m in terms
                 )
             )
-        remainder = self._engine.reducer.reduce(packing.pack_poly(f))
+        remainder, den = self._engine.reducer.reduce(packing.pack_poly(f))
         bound = self._tag_bound
         if any(p >= bound for p in remainder):
             return None
-        return packing.unpack_poly(self.tag_ring, remainder, self._nvars)
+        return packing.unpack_poly(self.tag_ring, remainder, self._nvars, den)
 
     def contains(self, f: Polynomial) -> bool:
         return self.representation(f) is not None

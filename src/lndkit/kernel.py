@@ -194,6 +194,8 @@ def kernel_check(
     when a localized generator could not be pushed into the candidate
     algebra within the division bound.
     """
+    if division_bound is not None and division_bound < 0:
+        raise ValueError("division_bound must be nonnegative")
     bound = DIVISION_BOUND if division_bound is None else division_bound
     candidates = tuple(candidates)
     if not candidates:

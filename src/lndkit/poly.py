@@ -64,7 +64,10 @@ class Ring:
             object.__setattr__(self, "weights", tuple(self.weights))
             if len(self.weights) != len(self.variables):
                 raise ValueError("one weight per variable required")
-            if any(not isinstance(w, int) or w <= 0 for w in self.weights):
+            if any(
+                not isinstance(w, int) or isinstance(w, bool) or w <= 0
+                for w in self.weights
+            ):
                 raise ValueError("weights must be positive integers")
 
     @property

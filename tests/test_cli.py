@@ -1,6 +1,11 @@
 """Command line front end: argument wiring, output formats, exit codes."""
 
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, strategies as st
 
 from lndkit.cli import run
 
@@ -11,6 +16,11 @@ def out(capsys):
 
 def err(capsys):
     return capsys.readouterr().err.strip()
+
+
+def assert_one_error_line(text):
+    assert "Traceback" not in text
+    assert len([line for line in text.splitlines() if "error:" in line]) == 1
 
 
 # -- eval ---------------------------------------------------------------------
@@ -276,3 +286,108 @@ def test_argparse_exit_codes(capsys):
     assert run(["--help"]) == 0
     assert "usage" in out(capsys).lower()
     assert run(["paper"]) == 2
+
+
+# -- malformed input: exit 2 with one error line --------------------------------
+
+KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "--parameter", "1/0", "--point", "1,2,3,4,5"],
+        ["act", "--parameter", "1", "--point", "1/0,2,3,4,5"],
+        ["act", "--parameter", "one", "--point", "1,2,3,4,5"],
+        ["eval", "x", "--at", "x=1/0"],
+        ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
+        ["kernel-compute", "--division-bound", "-1"],
+        ["kernel-compute", "--division-bound", "many"],
+    ],
+    ids=[
+        "parameter-zero-denominator",
+        "point-zero-denominator",
+        "parameter-bad-literal",
+        "at-zero-denominator",
+        "kernel-check-negative-bound",
+        "kernel-compute-negative-bound",
+        "kernel-compute-bad-bound",
+    ],
+)
+def test_bad_arguments_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
+def _run_with_derivation_file(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["derive", "y", "--derivation", str(path)])
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"ring": {"vars": ["x", "y"]}, "derivation": ["a"]}, '"derivation"'),
+        ({"ring": ["x"], "derivation": {}}, '"ring"'),
+        ({"ring": {"vars": ["x", "y"]}, "derivation": {"y": 3}}, '"derivation"'),
+        ({"a": 3}, '"ring"'),
+        ({"ring": {"vars": "xy"}, "derivation": {}}, '"ring.vars"'),
+        ({"ring": {"vars": ["x"], "weights": 1}, "derivation": {}}, '"ring.weights"'),
+        ({"ring": {"vars": ["x"], "weights": [True]}, "derivation": {}}, "weights"),
+        ([1], "top level"),
+    ],
+)
+def test_malformed_derivation_json_names_the_field(tmp_path, data, field):
+    code, stderr = _run_with_derivation_file(tmp_path / "d.json", data)
+    assert code == 2
+    assert_one_error_line(stderr)
+    assert field in stderr
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _malformed_derivation(draw):
+    """A valid derivation spec with one field replaced by a wrongly typed value."""
+    slot = draw(
+        st.sampled_from(
+            ["top", "ring", "vars", "var", "weights", "derivation", "image"]
+        )
+    )
+    data = {"ring": {"vars": ["x", "y"], "weights": [1, 2]}, "derivation": {"y": "x"}}
+    if slot == "top":
+        return draw(_json.filter(lambda v: not isinstance(v, dict)))
+    if slot == "ring":
+        data["ring"] = draw(_json.filter(lambda v: not isinstance(v, dict)))
+    elif slot == "vars":
+        data["ring"]["vars"] = draw(_json.filter(lambda v: not isinstance(v, list)))
+    elif slot == "var":
+        data["ring"]["vars"][0] = draw(_json.filter(lambda v: not isinstance(v, str)))
+    elif slot == "weights":
+        data["ring"]["weights"] = draw(
+            _json.filter(lambda v: v is not None and not isinstance(v, list))
+        )
+    elif slot == "derivation":
+        data["derivation"] = draw(_json.filter(lambda v: not isinstance(v, dict)))
+    else:
+        data["derivation"]["y"] = draw(_json.filter(lambda v: not isinstance(v, str)))
+    return data
+
+
+@given(_malformed_derivation())
+def test_malformed_derivation_json_exits_2(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("spec") / "d.json"
+    code, stderr = _run_with_derivation_file(path, data)
+    assert code == 2
+    assert_one_error_line(stderr)

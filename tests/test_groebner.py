@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from lndkit import (
@@ -130,16 +130,30 @@ EXT = Ring(("x", "y", "X1", "X2"))
 TAGS = Ring(("X1", "X2"))
 
 
+_SCALARS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
 @st.composite
-def _polys(draw, ring):
+def _polys(
+    draw,
+    ring,
+    max_exp=6,
+    max_terms=5,
+    coeffs=st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+):
     terms = draw(
         st.dictionaries(
-            st.tuples(*[st.integers(0, 6)] * ring.nvars),
-            st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
-            max_size=5,
+            st.tuples(*[st.integers(0, max_exp)] * ring.nvars),
+            coeffs,
+            max_size=max_terms,
         )
     )
     return Polynomial(ring, terms)
+
+
+def _small_polys(ring, max_exp=3):
+    """Nonzero polynomials with at most three terms."""
+    return _polys(ring, max_exp, 3, _SCALARS).filter(bool)
 
 
 @given(st.sampled_from(ORDERS), _polys(EXT), _polys(R2))
@@ -170,6 +184,12 @@ def test_s_polynomial_pinned():
     g = X**2 * Y - 2 * Y**2 + X
     s = s_polynomial(f, g, MonomialOrder.grlex())
     assert s == -(X**2)
+    # non-unit leading coefficients: x^a*f/lc(f) - x^b*g/lc(g), scale-free
+    f, g = 2 * X**3 - 3 * X * Y, 3 * X**2 * Y - 2 * Y**2 + X
+    expected = Fraction(1, 2) * Y * f - Fraction(1, 3) * X * g
+    assert expected == Fraction(-5, 6) * X * Y**2 - Fraction(1, 3) * X**2
+    assert s_polynomial(f, g, MonomialOrder.grlex()) == expected
+    assert s_polynomial(Fraction(5, 7) * f, -g, MonomialOrder.grlex()) == expected
     with pytest.raises(ValueError):
         s_polynomial(f, R3.zero(), MonomialOrder.grlex())
 
@@ -464,3 +484,81 @@ def test_relation_generators_are_tag_only_basis_elements(context):
     expected.sort(key=lambda p: grlex_key(p.leading_term()[0]))
     assert len(expected) == 4
     assert tester.relation_generators() == tuple(expected)
+
+
+# -- integer engine: scaling and the Fraction boundary --------------------------
+
+
+def _lead(p, order):
+    return p.term_dict()[max(p.term_dict(), key=order.key())]
+
+
+@given(
+    st.sampled_from(ORDERS),
+    _polys(R3),
+    st.lists(st.tuples(_small_polys(R3), _SCALARS), min_size=1, max_size=3),
+)
+def test_normal_form_ignores_divisor_scaling(order, f, divisors):
+    basis = [g for g, _ in divisors]
+    scaled = [c * g for g, c in divisors]
+    assert normal_form(f, scaled, order) == normal_form(f, basis, order)
+
+
+@given(
+    st.sampled_from(ORDERS[:3]),
+    st.lists(_small_polys(R2), min_size=1, max_size=3),
+)
+def test_buchberger_fractional_leads_match_primitive(order, gens):
+    basis = buchberger(gens, order)
+    assert basis == buchberger([g.primitive() for g in gens], order)
+    for g in basis:
+        assert _lead(g, order) == 1
+        assert all(type(c) is Fraction for _, c in g)
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        [Fraction(1, 2) * X2 + Fraction(3, 5) * Y2, Fraction(-2, 3) * X2 * Y2],
+        [Fraction(3, 4) * X2 + Fraction(1, 6) * X2**2, Fraction(5, 2) * Y2],
+    ],
+    ids=["homogeneous", "inhomogeneous"],
+)
+@given(st.lists(_SCALARS, min_size=4, max_size=4))
+def test_representation_evaluates_back_exactly(elements, coeffs):
+    a, b = elements
+    f = coeffs[0] * a**2 + coeffs[1] * a * b + coeffs[2] * b + coeffs[3] * b**3
+    tester = SubalgebraTester(elements)
+    rep = tester.representation(f)
+    assert rep is not None
+    assert all(type(c) is Fraction for _, c in rep)
+    assert tester.relations().evaluate(rep, elements) == f
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from(["grevlex", "lex"]),
+    st.lists(_small_polys(R3, max_exp=2), min_size=1, max_size=3),
+)
+def test_buchberger_matches_sympy(order_name, gens):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x y z")
+    exprs = [
+        sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[v**e for v, e in zip(symbols, m)])
+            for m, c in g
+        )
+        for g in gens
+    ]
+    reference = sympy.groebner(exprs, *symbols, order=order_name, domain=sympy.QQ)
+    expected = {
+        Polynomial(
+            R3,
+            {m: Fraction(int(c.p), int(c.q)) for m, c in p.terms()},
+        )
+        for p in reference.polys
+    }
+    basis = buchberger(gens, MonomialOrder.from_name(order_name))
+    assert set(basis) == expected
+    assert len(basis) == len(expected)

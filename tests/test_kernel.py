@@ -185,6 +185,8 @@ def test_kernel_check_input_validation(context):
     with pytest.raises(NonInvariantCandidateError) as info:
         kernel_check(D, [f[0], context.ring.var("t")], context.kernel_slice)
     assert info.value.witness == context.ring.var("s")
+    with pytest.raises(ValueError, match="division_bound"):
+        kernel_check(D, f[:4], context.kernel_slice, division_bound=-1)
 
 
 # -- kernel_compute ----------------------------------------------------------------

@@ -67,6 +67,8 @@ def test_ring_validation():
     with pytest.raises(ValueError):
         Ring(("x",), (0,))
     with pytest.raises(ValueError):
+        Ring(("x", "y"), (True, 1))
+    with pytest.raises(ValueError):
         Ring(("x",), (-3,))
 
 
