@@ -30,7 +30,7 @@ from .groebner import (
     subalgebra_membership,
 )
 from .kernel import KernelStatus, Slice, kernel_check, kernel_compute
-from .parse import parse_polynomial, print_canonical
+from .parse import _rational_text, parse_polynomial, print_canonical
 from .poly import Point, Ring
 
 
@@ -148,8 +148,8 @@ def _cmd_eval(args) -> int:
         coords = [_rational(assignments.pop(name, "0")) for name in ring.variables]
         if assignments:
             raise ValueError(f"unknown variables in --at: {sorted(assignments)}")
-        value = p.evaluate(Point(ring, tuple(coords)))
-        _emit(args, {"value": str(value)}, str(value))
+        value = _rational_text(p.evaluate(Point(ring, tuple(coords))))
+        _emit(args, {"value": value}, value)
         return 0
     text = print_canonical(p)
     _emit(args, {"result": text}, text)
@@ -178,7 +178,7 @@ def _cmd_act(args) -> int:
     derivation = _derivation_from(args)
     point = _parse_point(args.point, derivation.ring)
     moved = derivation.orbit_point(_rational(args.parameter), point)
-    coords = [str(c) for c in moved.coordinates]
+    coords = [_rational_text(c) for c in moved.coordinates]
     _emit(args, {"point": coords}, ",".join(coords))
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Iterator, Mapping
 
@@ -91,6 +92,18 @@ class Derivation:
             f = self.apply(f)
             count += 1
 
+    @cached_property
+    def _variable_iterates(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The nonzero iterates of each ring variable, derived once.
+
+        Kept in the instance dict, outside the dataclass fields, so
+        equality and hashing do not see it.  A derivation that is not
+        locally nilpotent raises NilpotencyCapError here every time.
+        """
+        return tuple(
+            tuple(self.iterates(self.ring.var(name))) for name in self.ring.variables
+        )
+
     def apply_laurent(self, elem: LaurentElement) -> LaurentElement:
         """Apply the derivation in the localization, by the quotient rule."""
         num, var, k = elem.numerator, elem.denom_var, elem.denom_power
@@ -135,10 +148,16 @@ class Derivation:
         extended = Ring((parameter,) + self.ring.variables)
         embed = RingMap.from_mapping(self.ring, extended, {})
         param = extended.var(parameter)
+        if cap is None:
+            chains = self._variable_iterates
+        else:
+            chains = [
+                self.iterates(self.ring.var(name), cap) for name in self.ring.variables
+            ]
         images = []
-        for name in self.ring.variables:
+        for chain in chains:
             total = extended.zero()
-            for k, iterate in enumerate(self.iterates(self.ring.var(name), cap)):
+            for k, iterate in enumerate(chain):
                 total = total + embed(iterate) * Fraction(1, factorial(k)) * param**k
             images.append(total)
         return RingMap(self.ring, extended, tuple(images))
@@ -157,9 +176,9 @@ class Derivation:
             raise RingMismatchError("point lives in a different ring")
         a = Fraction(value)
         coords = []
-        for name in self.ring.variables:
+        for chain in self._variable_iterates:
             total = Fraction(0)
-            for k, iterate in enumerate(self.iterates(self.ring.var(name))):
+            for k, iterate in enumerate(chain):
                 total += iterate.evaluate(point) * a**k / factorial(k)
             coords.append(total)
         return Point(self.ring, tuple(coords))

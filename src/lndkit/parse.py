@@ -28,6 +28,37 @@ from .poly import Polynomial, Ring
 
 _SYMBOLS = set("+-*^/()")
 
+# CPython refuses int <-> decimal string conversions past a digit limit
+# (4300 digits by default, 640 at the least).  The limit is global to the
+# interpreter, so long numbers are converted in pieces below it instead.
+_SAFE_DIGITS = 600
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, at any length."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 1990:  # below 10^600
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _integer(digits: str) -> int:
+    """The value of a string of decimal digits, at any length."""
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
+
+
+def _rational_text(q: Fraction) -> str:
+    """str(q), also past the interpreter's int-to-str digit limit."""
+    if q.denominator == 1:
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -133,11 +164,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            numerator = int(tok.text)
+            numerator = _integer(tok.text)
             if self.peek().kind == "/":
                 self.take()
                 den_tok = self.expect("num")
-                denominator = int(den_tok.text)
+                denominator = _integer(den_tok.text)
                 if denominator == 0:
                     raise ParseError("zero denominator", den_tok.pos)
                 return self.ring.const(Fraction(numerator, denominator))
@@ -174,7 +205,7 @@ def parse_polynomial(
 def _term_text(mono: tuple[int, ...], magnitude: Fraction, variables: tuple[str, ...]) -> str:
     factors: list[str] = []
     if magnitude != 1 or not any(mono):
-        factors.append(str(magnitude))
+        factors.append(_rational_text(magnitude))
     for name, e in zip(variables, mono):
         if e == 0:
             continue

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -111,9 +112,16 @@ def _is_identifier(name: str) -> bool:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction.
 
-    __slots__ = ("ring", "_terms", "_sorted")
+    Two views are filled lazily and kept: the terms in canonical order
+    (terms()) and an integer view (_ints()) holding the common
+    denominator, the integer numerators over it and the largest
+    exponent of each variable.  evaluate and __mul__ compute on the
+    integer view and build Fractions only for their results.
+    """
+
+    __slots__ = ("ring", "_terms", "_sorted", "_int")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -137,6 +145,19 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_int", None)
+
+    @classmethod
+    def _make(cls, ring: Ring, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """Trusted constructor for arithmetic results: `terms` must map
+        valid exponent tuples to nonzero Fractions, and is neither
+        checked nor copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_sorted", None)
+        object.__setattr__(p, "_int", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -163,6 +184,24 @@ class Polynomial:
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.terms())
+
+    def _ints(self) -> tuple:
+        """The integer view of a nonzero polynomial: (den, [(mono,
+        numerator over den)], largest exponent of each variable,
+        ((i, exponents of variable i that occur), ...) for the variables
+        that occur)."""
+        if self._int is None:
+            items = self._terms.items()
+            den = lcm(*{c.denominator for _, c in items})
+            if den == 1:
+                nums = [(m, c.numerator) for m, c in items]
+            else:
+                nums = [(m, c.numerator * (den // c.denominator)) for m, c in items]
+            columns = tuple(zip(*self._terms))
+            top = tuple(map(max, columns))
+            used = tuple((i, frozenset(col)) for i, col in enumerate(columns) if top[i])
+            object.__setattr__(self, "_int", (den, nums, top, used))
+        return self._int
 
     def term_dict(self) -> dict[tuple[int, ...], Fraction]:
         """A copy of the underlying term mapping."""
@@ -251,12 +290,12 @@ class Polynomial:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._make(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self._terms.items()})
+        return Polynomial._make(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -275,22 +314,32 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return self.ring.zero()
-            return Polynomial(
+            return Polynomial._make(
                 self.ring, {m: c * v for m, v in self._terms.items()}
             )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Polynomial(self.ring, out)
+        if not self._terms or not other._terms:
+            return self.ring.zero()
+        den1, nums1, top1, _ = self._ints()
+        den2, nums2, top2, _ = other._ints()
+        # leading forms multiply in a domain, so each variable's largest
+        # exponent in the product is exactly the sum of the factors'
+        for a, b in zip(top1, top2):
+            if a + b > EXPONENT_CAP:
+                raise ExponentOverflowError(
+                    f"exponent {a + b} exceeds cap {EXPONENT_CAP}"
+                )
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for m1, c1 in nums1:
+            for m2, c2 in nums2:
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = get(mono, 0) + c1 * c2
+        den = den1 * den2
+        out = {m: Fraction(c, den) for m, c in acc.items() if c}
+        return Polynomial._make(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -316,22 +365,30 @@ class Polynomial:
         for mono, coeff in self._terms.items():
             e = mono[i]
             if e:
-                lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-                out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return Polynomial(self.ring, out)
+                out[mono[:i] + (e - 1,) + mono[i + 1 :]] = coeff * e
+        return Polynomial._make(self.ring, out)
 
     def evaluate(self, point: "Point") -> Fraction:
         if point.ring != self.ring:
             raise RingMismatchError("point lives in a different ring")
-        total = Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        den, nums, top, used = self._ints()
+        # with coordinate i = a/b and t = top[i], a term's factor
+        # (a/b)^e is a^e * b^(t-e) over the common b^t; the tables hold
+        # only the exponents that occur, since t may be near EXPONENT_CAP
         coords = point.coordinates
-        for mono, coeff in self._terms.items():
-            val = coeff
-            for c, e in zip(coords, mono):
-                if e:
-                    val *= c**e
-            total += val
-        return total
+        tables = []
+        for i, exps in used:
+            a, b, t = coords[i].numerator, coords[i].denominator, top[i]
+            tables.append((i, {e: a**e * b ** (t - e) for e in exps}))
+            den *= b**t
+        total = 0
+        for mono, num in nums:
+            for i, table in tables:
+                num *= table[mono[i]]
+            total += num
+        return Fraction(total, den)
 
     def exact_divide_var(self, name: str, power: int = 1) -> "Polynomial":
         """Divide by name**power, raising NotDivisibleError on any remainder."""

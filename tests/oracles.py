@@ -1,14 +1,20 @@
-"""Independent oracles used to cross-check the Groebner machinery.
+"""Independent oracles used to cross-check lndkit.
 
 The relation-ideal oracle knows nothing about Groebner bases: it
 enumerates tag monomials up to a degree bound, evaluates each as a
 product of the given elements, and extracts the kernel of the resulting
 linear map with Gaussian elimination over Fraction.  Any disagreement
 with the elimination-based relation ideal is a bug in one of the two.
+
+The term-dict oracles (naive_evaluate, naive_multiply, naive_apply,
+naive_orbit_point) redo polynomial arithmetic on plain
+{exponent tuple: Fraction} dicts, one Fraction operation per term, with
+no code from lndkit.poly: they check its integer fast paths.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 from lndkit import Polynomial, Ring
 
@@ -125,3 +131,67 @@ def in_span(vector: Polynomial, basis: list[Polynomial]) -> bool:
 
     basis_rows = [as_row(p) for p in basis]
     return _rank(basis_rows) == _rank(basis_rows + [as_row(vector)])
+
+
+# -- term-dict oracles ----------------------------------------------------
+
+
+def naive_evaluate(terms: dict, coords) -> Fraction:
+    """Sum over the terms of coefficient * prod(coordinate ** exponent)."""
+    total = Fraction(0)
+    for mono, coeff in terms.items():
+        value = Fraction(coeff)
+        for c, e in zip(coords, mono):
+            value *= Fraction(c) ** e
+        total += value
+    return total
+
+
+def naive_multiply(left: dict, right: dict) -> dict:
+    """Product of two term dicts, zero coefficients dropped."""
+    out: dict = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _naive_add(left: dict, right: dict) -> dict:
+    out = dict(left)
+    for m, c in right.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def naive_apply(images: list, terms: dict) -> dict:
+    """The derivation with variable images `images` (term dicts) applied
+    to `terms`: sum over i of images[i] * d(terms)/dx_i."""
+    total: dict = {}
+    for i, image in enumerate(images):
+        partial = {}
+        for mono, coeff in terms.items():
+            if mono[i]:
+                lowered = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+                partial[lowered] = Fraction(coeff) * mono[i]
+        total = _naive_add(total, naive_multiply(image, partial))
+    return total
+
+
+def naive_orbit_point(images: list, value, coords, cap: int = 64) -> tuple:
+    """exp(value * D) applied to a point, D given by variable images:
+    coordinate i is sum_k D^k(x_i)(coords) * value^k / k!."""
+    n = len(coords)
+    out = []
+    for i in range(n):
+        f = {tuple(int(j == i) for j in range(n)): Fraction(1)}
+        total = Fraction(0)
+        k = 0
+        while f:
+            if k >= cap:
+                raise ValueError("derivation is not nilpotent on the variables")
+            total += naive_evaluate(f, coords) * Fraction(value) ** k / factorial(k)
+            f = naive_apply(images, f)
+            k += 1
+        out.append(total)
+    return tuple(out)

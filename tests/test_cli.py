@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,29 @@ def test_eval_at_point(capsys):
     assert out(capsys) == "1"
     assert run(["eval", "x + v", "--at", "v=1/2"]) == 0
     assert out(capsys) == "1/2"
+
+
+def long_decimal(n):
+    """Decimal digits of a natural number, 100 at a time, so that no
+    conversion meets the interpreter's int-to-str digit limit."""
+    chunks = []
+    while n:
+        n, low = divmod(n, 10**100)
+        chunks.append(f"{low:0100d}")
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+def test_eval_prints_values_past_the_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run(["eval", "x^40000", "--at", "x=3"]) == 0
+    assert out(capsys) == long_decimal(3**40000)
+    assert run(["eval", "x^9001*s", "--at", "x=-2/7,s=1", "--format", "json"]) == 0
+    value = json.loads(out(capsys))["value"]
+    assert value == f"-{long_decimal(2**9001)}/{long_decimal(7**9001)}"
+    assert run(["eval", "(3*x)^9100 - 1"]) == 0
+    assert out(capsys) == f"{long_decimal(3**9100)}*x^9100 - 1"
+    # the limit is global to the interpreter and stays as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_eval_json(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from lndkit import (
     Derivation,
     LaurentElement,
@@ -19,6 +20,7 @@ from lndkit import (
     intertwines,
     parse_polynomial,
 )
+from lndkit.derivation import NILPOTENCY_CAP
 
 R2 = Ring(("x", "y"))
 X, Y = R2.var("x"), R2.var("y")
@@ -27,6 +29,11 @@ X, Y = R2.var("x"), R2.var("y")
 EULER = Derivation.from_mapping(R2, {"x": X, "y": Y})
 # D(y) = x, D(x) = 0: the simplest triangular example
 SHIFT = Derivation.from_mapping(R2, {"y": X})
+
+R3 = Ring(("x", "y", "z"))
+
+# zero, negative, integral and fractional values
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
 @st.composite
@@ -42,6 +49,35 @@ def polynomials(draw, ring=R2, max_terms=4, max_exp=3):
             draw(st.integers(min_value=1, max_value=9)),
         )
     return Polynomial(ring, terms)
+
+
+@st.composite
+def triangular_derivations(draw):
+    """D(x) = c, D(y) in Q[x], D(z) in Q[x, y]: locally nilpotent."""
+
+    def image(nvars_used):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            used = [draw(st.integers(0, 2)) for _ in range(nvars_used)]
+            terms[tuple(used + [0] * (3 - nvars_used))] = draw(small_fractions)
+        return Polynomial(R3, terms)
+
+    return Derivation(R3, (image(0), image(1), image(2)))
+
+
+def uncached_orbit_point(derivation, value, point):
+    """orbit_point through translate, which derives every iterate anew."""
+    ring = derivation.ring
+    return Point(ring, tuple(
+        derivation.translate(ring.var(v), value).evaluate(point)
+        for v in ring.variables
+    ))
+
+
+def naive_orbit_point(derivation, value, point):
+    images = [img.term_dict() for img in derivation.images]
+    coords = oracles.naive_orbit_point(images, value, point.coordinates)
+    return Point(derivation.ring, coords)
 
 
 def test_construction():
@@ -162,6 +198,90 @@ def test_orbit_point():
     assert SHIFT.orbit_point(-3, moved) == pt
     with pytest.raises(RingMismatchError):
         SHIFT.orbit_point(1, Point(Ring(("z",)), (0,)))
+
+
+@given(
+    triangular_derivations(),
+    small_fractions,
+    st.tuples(small_fractions, small_fractions, small_fractions),
+)
+def test_orbit_point_matches_naive_oracle(derivation, value, coords):
+    point = Point(R3, coords)
+    expected = naive_orbit_point(derivation, value, point)
+    assert derivation.orbit_point(value, point) == expected
+    # a second call reads the cached iterates
+    assert derivation.orbit_point(value, point) == expected
+
+
+@given(
+    small_fractions,
+    st.tuples(*[small_fractions] * 5),
+)
+def test_bundled_orbit_point_matches_naive_oracle(context, value, coords):
+    point = Point(context.ring, coords)
+    D = context.derivation
+    assert D.orbit_point(value, point) == naive_orbit_point(D, value, point)
+
+
+def test_iterate_cache_matches_uncached(context):
+    for derivation in (context.derivation, context.quotient_derivation, SHIFT):
+        ring = derivation.ring
+        fresh = Derivation(ring, derivation.images)
+        points = [
+            Point(ring, tuple(Fraction(k - 2 * i, i + 1) for i in range(ring.nvars)))
+            for k in range(3)
+        ]
+        for value in (Fraction(0), Fraction(-3), Fraction(5, 7)):
+            for point in points:
+                expected = uncached_orbit_point(fresh, value, point)
+                assert derivation.orbit_point(value, point) == expected
+                assert naive_orbit_point(fresh, value, point) == expected
+        uncached = fresh.exponential("r", cap=NILPOTENCY_CAP)
+        for _ in range(2):
+            assert derivation.exponential("r").images == uncached.images
+        assert derivation.exponential("q").images == fresh.exponential(
+            "q", cap=NILPOTENCY_CAP
+        ).images
+
+
+def test_iterate_cache_is_filled_once(monkeypatch):
+    derivation = Derivation.from_mapping(R3, {"y": R3.var("x"), "z": R3.var("y")})
+    point = Point(R3, (1, Fraction(-1, 2), 3))
+    calls = []
+    apply = Derivation.apply
+    monkeypatch.setattr(
+        Derivation, "apply", lambda self, f: calls.append(f) or apply(self, f)
+    )
+    first = derivation.orbit_point(2, point)
+    assert len(calls) == 6  # x: 1, y: 2, z: 3 applications
+    assert derivation.orbit_point(2, point) == first
+    derivation.exponential()
+    assert len(calls) == 6
+    derivation.exponential(cap=5)
+    assert len(calls) == 12
+
+
+def test_iterate_cache_keeps_equality_and_hash():
+    first = Derivation.from_mapping(R2, {"y": X**2 + 1})
+    second = Derivation.from_mapping(R2, {"y": X**2 + 1})
+    before = hash(first)
+    first.orbit_point(2, Point(R2, (1, 1)))
+    assert first == second
+    assert hash(first) == before == hash(second)
+    assert {second: "found"}[first] == "found"
+    assert repr(first) == repr(second)
+
+
+def test_non_nilpotent_derivation_still_raises():
+    point = Point(R2, (1, 2))
+    for _ in range(2):  # nothing is cached by a failed attempt
+        with pytest.raises(NilpotencyCapError):
+            EULER.orbit_point(1, point)
+        with pytest.raises(NilpotencyCapError):
+            EULER.exponential()
+    with pytest.raises(NilpotencyCapError):
+        EULER.exponential(cap=4)
+    assert EULER == Derivation.from_mapping(R2, {"x": X, "y": Y})
 
 
 def test_orbit_point_group_law(context):

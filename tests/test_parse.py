@@ -143,6 +143,15 @@ def test_round_trip_seeded():
             )
 
 
+def test_round_trip_past_the_digit_limit():
+    # 7^6000 has 5071 digits, more than CPython converts to or from text
+    # by default
+    big = Fraction(7**6000, 2**20000 + 1)
+    p = Polynomial(R2, {(3, 0): big, (0, 1): -big - 1, (0, 0): 1})
+    assert parse_polynomial(print_canonical(p), R2) == p
+    assert parse_polynomial(print_canonical(p, ascending=True), R2) == p
+
+
 @given(st.integers(min_value=0, max_value=10**9))
 def test_round_trip_property(seed):
     rng = random.Random(seed)

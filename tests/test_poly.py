@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from lndkit import (
     DegreeSpread,
@@ -48,6 +50,11 @@ def polynomials(draw, ring=R3, max_terms=4, max_exp=3):
 @st.composite
 def points(draw, ring=R3):
     return Point(ring, tuple(draw(small_fractions) for _ in range(ring.nvars)))
+
+
+def stored_terms_are_clean(p):
+    """What the public constructor guarantees: nonzero Fraction coefficients."""
+    return all(type(c) is Fraction and c != 0 for c in p.term_dict().values())
 
 
 # -- Ring -------------------------------------------------------------------
@@ -103,6 +110,21 @@ def test_constructor_rejects_bad_terms():
         Polynomial(R3, {(Fraction(1, 2), 0, 0): 1})
     with pytest.raises(ExponentOverflowError):
         Polynomial(R3, {(EXPONENT_CAP + 1, 0, 0): 1})
+
+
+def test_exponent_cap_on_arithmetic():
+    big = X**40000
+    with pytest.raises(ExponentOverflowError):
+        big * big
+    with pytest.raises(ExponentOverflowError):
+        big**2
+    with pytest.raises(ExponentOverflowError):
+        (big + Y) * (3 * X**30000 * Z - 1)
+    at_cap = X**32768 * X**32768
+    assert at_cap.term_dict() == {(EXPONENT_CAP, 0, 0): 1}
+    with pytest.raises(ExponentOverflowError):
+        at_cap * X
+    assert (at_cap * Y).degree_in("x") == EXPONENT_CAP
 
 
 def test_zero_coefficients_dropped():
@@ -244,8 +266,47 @@ def test_evaluate():
     p = X**2 + Y * Z - 1
     pt = Point(R3, (2, 3, Fraction(1, 3)))
     assert p.evaluate(pt) == 4 + 1 - 1
+    assert type(R3.zero().evaluate(pt)) is Fraction
+    assert type(X.evaluate(Point(R3, (2, 0, 0)))) is Fraction
     with pytest.raises(RingMismatchError):
         p.evaluate(Point(RW, (0, 0, 0, 0, 0)))
+
+
+@given(polynomials(max_terms=6, max_exp=5), points())
+def test_evaluate_matches_naive_oracle(p, pt):
+    value = p.evaluate(pt)
+    assert value == oracles.naive_evaluate(p.term_dict(), pt.coordinates)
+    assert type(value) is Fraction
+
+
+@given(polynomials(max_terms=6, max_exp=5), polynomials(max_terms=6, max_exp=5))
+def test_mul_matches_naive_oracle(a, b):
+    product = a * b
+    assert product.term_dict() == oracles.naive_multiply(a.term_dict(), b.term_dict())
+    assert stored_terms_are_clean(product)
+
+
+@given(polynomials(), small_fractions)
+def test_trusted_results_are_clean(p, c):
+    for result in (p + (-p), p - 1, -p, c * p, p * c, p.partial("y"), p * p):
+        assert stored_terms_are_clean(result)
+
+
+@settings(max_examples=10)
+@example(EXPONENT_CAP, 0, Fraction(3, 7), Fraction(-2))
+@given(
+    st.integers(min_value=EXPONENT_CAP - 40, max_value=EXPONENT_CAP),
+    st.integers(min_value=0, max_value=3),
+    small_fractions,
+    small_fractions,
+)
+def test_evaluate_sparse_near_exponent_cap(big, small, a, b):
+    # two terms, one exponent near the cap: the power tables must hold
+    # only the exponents that occur, or this takes minutes
+    terms = {(big, 0, 0): Fraction(1, 3), (small, 1, 0): Fraction(2)}
+    p = Polynomial(R3, terms)
+    coords = (a, b, Fraction(0))
+    assert p.evaluate(Point(R3, coords)) == oracles.naive_evaluate(terms, coords)
 
 
 def test_point():
