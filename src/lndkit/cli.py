@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +31,7 @@ from .groebner import (
     subalgebra_membership,
 )
 from .kernel import KernelStatus, Slice, kernel_check, kernel_compute
-from .parse import _rational_text, parse_polynomial, print_canonical
+from .parse import _integer, _rational_text, parse_polynomial, print_canonical
 from .poly import Point, Ring
 
 
@@ -42,10 +43,13 @@ def _split_csv(text: str) -> list[str]:
 
 
 def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational number: {text!r}") from None
+    """A signed integer or fraction n/d, at any length."""
+    match = re.fullmatch(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*", text)
+    denominator = _integer(match[3] or "1") if match else 0
+    if not denominator:
+        raise ValueError(f"bad rational number: {text!r}")
+    value = Fraction(_integer(match[2]), denominator)
+    return -value if match[1] == "-" else value
 
 
 def _nonnegative_int(text: str) -> int:

@@ -11,10 +11,10 @@ ideal and order, with generators sorted ascending by leading monomial.
 
 Internally monomials are packed into single integers (see _Packing) so
 the hot loops run on machine comparisons instead of tuple traversals,
-and coefficients are plain integers: every basis element is kept
-primitive (content 1, positive leading coefficient) and division runs
-fraction-free, so no Fraction is built inside the engine.  Coefficients
-cross the public API as Fractions.
+and coefficients are plain integers: a Polynomial enters as its integer
+numerators and leaves as integers over one denominator, every basis
+element is kept primitive (content 1, positive leading coefficient) and
+division runs fraction-free, so no Fraction is built in this module.
 Subalgebra testers against weighted-homogeneous elements grow their
 basis lazily, degree by degree, just far enough to answer each
 membership query.
@@ -182,26 +182,26 @@ class _Packing:
         mask = self.mask
         return tuple((p >> s) & mask for s in self.raw_shifts)
 
-    def pack_poly(self, f: Polynomial) -> dict:
-        """Packed terms of f.
+    def pack_poly(self, f: Polynomial) -> tuple[dict, int]:
+        """(packed integer numerators of f, their denominator).
 
         A polynomial over fewer variables than the packing fills the
         leading ones.
         """
-        return {self.pack(m): c for m, c in f.term_dict().items()}
+        pack = self.pack
+        return {pack(m): c for m, c in f._num.items()}, f._den
 
     def unpack_poly(
         self, ring: Ring, d: dict, start: int = 0, den: int = 1
     ) -> Polynomial:
-        """The packed terms d, divided by den, as a polynomial of ring.
+        """The packed integer terms d over the positive den, as a
+        polynomial of ring.
 
         The first start exponents of every monomial are dropped.
         """
         unpack = self.unpack
-        if den == 1:
-            return Polynomial(ring, {unpack(p)[start:]: c for p, c in d.items()})
-        return Polynomial(
-            ring, {unpack(p)[start:]: Fraction(c, den) for p, c in d.items()}
+        return Polynomial._make(
+            ring, {unpack(p)[start:]: c for p, c in d.items()}, den
         )
 
 
@@ -217,18 +217,9 @@ def _checked(p: int, guard: int) -> int:
 # primitive.
 
 
-def _cleared(d: dict) -> tuple[dict, int]:
-    """(R, den) with integer coefficients R and d = R/den.
-
-    d may hold ints or Fractions.
-    """
-    den = lcm(*[c.denominator for c in d.values()])
-    return {m: c.numerator * (den // c.denominator) for m, c in d.items()}, den
-
-
 def _primitive(d: dict) -> dict:
-    """The integer multiple of nonzero d with content 1 and positive lead."""
-    d = _cleared(d)[0]
+    """The rational multiple of the nonzero integer dict d with content 1
+    and positive lead."""
     g = gcd(*d.values())
     if d[max(d)] < 0:
         g = -g
@@ -279,17 +270,18 @@ class _Reducer:
         self._cache[lead] = (-1, n)
         return -1
 
-    def reduce(self, f: dict) -> tuple[dict, int]:
-        """Full normal form of f as (R, den), meaning R/den.
+    def reduce(self, f: dict, den: int = 1) -> tuple[dict, int]:
+        """Full normal form of f/den as (R, den'), meaning R/den'.
 
-        R has integer coefficients; f may hold ints or Fractions and is
-        left untouched.  A divisor with leading coefficient lc cancels a
-        term c by first scaling everything, den included, by lc/gcd(lc, c).
+        f and R have integer coefficients, the denominators are positive
+        and f is left untouched.  A divisor with leading coefficient lc
+        cancels a term c by first scaling everything, den included, by
+        lc/gcd(lc, c).
         Tracks the current leading term with a lazy max-heap: every
         monomial of f has at least one heap entry, stale entries are
         skipped on pop.
         """
-        f, den = _cleared(f)
+        f = dict(f)
         remainder: dict = {}
         entries = self.entries
         guard = self.guard
@@ -480,8 +472,9 @@ class _Engine:
             self._step()
 
     def reduced(self) -> list[dict]:
-        """The reduced monic basis with Fraction coefficients, sorted
-        ascending by leading monomial."""
+        """The reduced basis as primitive integer dicts, sorted ascending
+        by leading monomial; dividing each by its leading coefficient
+        gives the reduced monic basis."""
         if self._reduced is None:
             self.complete()
             self._reduced = _interreduce(self.basis, self.packing)
@@ -511,8 +504,7 @@ def _interreduce(basis: Sequence[tuple], packing: _Packing) -> list[dict]:
     for i, entry in enumerate(kept):
         others = [kept[k] for k in range(len(kept)) if k != i]
         nf = _Reducer(others, guard).reduce(entry[2])[0] if others else entry[2]
-        lc = nf[max(nf)]
-        reduced.append({m: Fraction(c, lc) for m, c in nf.items()})
+        reduced.append(_primitive(nf))
     reduced.sort(key=max)
     return reduced
 
@@ -531,8 +523,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         raise ValueError("s-polynomial of zero is undefined")
     ring = _common_ring([f, g])
     packing = _Packing(order, ring.nvars)
-    ea = _entry(_primitive(packing.pack_poly(f)))
-    eb = _entry(_primitive(packing.pack_poly(g)))
+    ea = _entry(_primitive(packing.pack_poly(f)[0]))
+    eb = _entry(_primitive(packing.pack_poly(g)[0]))
     plcm = packing.pack(
         tuple(max(x, y) for x, y in zip(packing.unpack(ea[0]), packing.unpack(eb[0])))
     )
@@ -556,8 +548,8 @@ def normal_form(
     packing = _Packing(order, ring.nvars)
     # scaling a divisor leaves every step's cancellation, hence the
     # remainder, unchanged
-    entries = [_entry(_primitive(packing.pack_poly(g))) for g in nonzero]
-    remainder, den = _Reducer(entries, packing.guard).reduce(packing.pack_poly(f))
+    entries = [_entry(_primitive(packing.pack_poly(g)[0])) for g in nonzero]
+    remainder, den = _Reducer(entries, packing.guard).reduce(*packing.pack_poly(f))
     return packing.unpack_poly(ring, remainder, den=den)
 
 
@@ -570,8 +562,8 @@ def buchberger(
         return ()
     ring = _common_ring(gens)
     packing = _Packing(order, ring.nvars)
-    reduced = _Engine([packing.pack_poly(g) for g in gens], packing).reduced()
-    return tuple(packing.unpack_poly(ring, d) for d in reduced)
+    reduced = _Engine([packing.pack_poly(g)[0] for g in gens], packing).reduced()
+    return tuple(packing.unpack_poly(ring, d, den=d[max(d)]) for d in reduced)
 
 
 def ideal_membership(
@@ -666,15 +658,16 @@ class SubalgebraTester:
         for g in elements:
             degrees = {
                 sum(w * e for w, e in zip(self._ring_weights, m))
-                for m in g.term_dict()
+                for m in g._num
             }
             if len(degrees) > 1:
                 homogeneous = False
             tag_weights.append(max(degrees) if degrees else 1)
         ideal = []
         for i, g in enumerate(elements):
-            d = packing.pack_poly(g)
-            d[packing.units[ring.nvars + i]] = -1
+            # g - tag, times the denominator of g
+            d, den = packing.pack_poly(g)
+            d[packing.units[ring.nvars + i]] = -den
             ideal.append(d)
         self._packing = packing
         self._engine = _Engine(
@@ -693,15 +686,14 @@ class SubalgebraTester:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lies outside the base ring")
         packing = self._packing
-        terms = f.term_dict()
-        if self._lazy and terms:
+        if self._lazy and f:
             self._engine.complete_to(
                 max(
                     sum(w * e for w, e in zip(self._ring_weights, m))
-                    for m in terms
+                    for m in f._num
                 )
             )
-        remainder, den = self._engine.reducer.reduce(packing.pack_poly(f))
+        remainder, den = self._engine.reducer.reduce(*packing.pack_poly(f))
         bound = self._tag_bound
         if any(p >= bound for p in remainder):
             return None
@@ -714,7 +706,8 @@ class SubalgebraTester:
         """The fully completed reduced Groebner basis of the tag ideal."""
         packing = self._packing
         return tuple(
-            packing.unpack_poly(self.extended, d) for d in self._engine.reduced()
+            packing.unpack_poly(self.extended, d, den=d[max(d)])
+            for d in self._engine.reduced()
         )
 
     def relation_generators(self) -> tuple[Polynomial, ...]:
@@ -723,7 +716,7 @@ class SubalgebraTester:
         packing = self._packing
         bound = self._tag_bound
         out = [
-            packing.unpack_poly(self.tag_ring, d, self._nvars)
+            packing.unpack_poly(self.tag_ring, d, self._nvars, d[max(d)])
             for d in self._engine.reduced()
             if max(d) < bound
         ]

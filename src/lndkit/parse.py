@@ -99,11 +99,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], ring: Ring, exponent_cap: int):
+    def __init__(self, tokens: list[_Token], ring: Ring):
         self.tokens = tokens
         self.k = 0
         self.ring = ring
-        self.cap = exponent_cap
+        self.cap = _poly.EXPONENT_CAP
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -151,8 +151,13 @@ class _Parser:
         value = self.atom()
         if self.peek().kind == "^":
             self.take()
-            tok = self.expect("num")
-            exponent = int(tok.text)
+            digits = self.expect("num").text.lstrip("0") or "0"
+            # count digits first: int() refuses very long literals
+            if len(digits) > len(str(self.cap)):
+                raise ExponentOverflowError(
+                    f"exponent of {len(digits)} digits exceeds cap {self.cap}"
+                )
+            exponent = int(digits)
             if exponent > self.cap:
                 raise ExponentOverflowError(
                     f"exponent {exponent} exceeds cap {self.cap}"
@@ -189,17 +194,14 @@ class _Parser:
         )
 
 
-def parse_polynomial(
-    text: str, ring: Ring, *, exponent_cap: int | None = None
-) -> Polynomial:
+def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     """Parse text into a polynomial of the given ring.
 
     Raises ParseError on grammar violations (the error carries the
     0-based character position) and ExponentOverflowError when a literal
-    exponent exceeds the cap (default: poly.EXPONENT_CAP).
+    exponent exceeds poly.EXPONENT_CAP.
     """
-    cap = _poly.EXPONENT_CAP if exponent_cap is None else exponent_cap
-    return _Parser(_tokenize(text), ring, cap).parse()
+    return _Parser(_tokenize(text), ring).parse()
 
 
 def _term_text(mono: tuple[int, ...], magnitude: Fraction, variables: tuple[str, ...]) -> str:

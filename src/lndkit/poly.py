@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials over the rationals, with exact arithmetic.
 
-A polynomial is stored as a dict mapping exponent tuples to nonzero
-Fractions.  All arithmetic is exact; nothing in this module ever rounds.
+A polynomial is stored as integer numerators keyed by exponent tuple
+over one common denominator, in lowest terms; coefficients are handed
+out as Fractions.  All arithmetic is exact; nothing in this module ever
+rounds.
 The canonical term order used for iteration and printing is graded
 lexicographic, descending.
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
@@ -112,18 +113,18 @@ def _is_identifier(name: str) -> bool:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction.
-
-    Two views are filled lazily and kept: the terms in canonical order
-    (terms()) and an integer view (_ints()) holding the common
-    denominator, the integer numerators over it and the largest
-    exponent of each variable.  evaluate and __mul__ compute on the
-    integer view and build Fractions only for their results.
+    """Immutable sparse polynomial: integer numerators keyed by exponent
+    tuple over one positive denominator, in lowest terms (gcd of the
+    denominator and all numerators is 1), so equal polynomials store
+    equal data.  Arithmetic computes on the numerators; only accessors
+    that hand out coefficients build Fractions.  Two views are filled
+    lazily and kept: the terms in canonical order (terms()) and the
+    exponent shape (_exponent_shape()).
     """
 
-    __slots__ = ("ring", "_terms", "_sorted", "_int")
+    __slots__ = ("ring", "_num", "_den", "_sorted", "_shape")
 
-    def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
+    def __new__(cls, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
         n = ring.nvars
         for mono, coeff in terms.items():
@@ -142,21 +143,24 @@ class Polynomial:
             c = Fraction(coeff)
             if c:
                 clean[mono] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_int", None)
+        den = lcm(*[c.denominator for c in clean.values()])
+        num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        return cls._make(ring, num, den)
 
     @classmethod
-    def _make(cls, ring: Ring, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        """Trusted constructor for arithmetic results: `terms` must map
-        valid exponent tuples to nonzero Fractions, and is neither
-        checked nor copied."""
+    def _make(cls, ring: Ring, num: dict, den: int = 1) -> "Polynomial":
+        """Trusted constructor for arithmetic results: `num` must map
+        valid exponent tuples to nonzero ints and `den` must be
+        positive.  Nothing is checked or copied; the pair is brought to
+        lowest terms."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
         p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_sorted", None)
-        object.__setattr__(p, "_int", None)
+        for name, value in zip(cls.__slots__, (ring, num, den, None, None)):
+            object.__setattr__(p, name, value)
         return p
 
     def __setattr__(self, name, value):
@@ -165,60 +169,54 @@ class Polynomial:
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Terms in descending graded-lex order."""
         if self._sorted is None:
-            ordered = tuple(
-                sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-            )
-            object.__setattr__(self, "_sorted", ordered)
+            den = self._den
+            ordered = sorted(self._num, key=grlex_key, reverse=True)
+            terms = tuple((m, Fraction(self._num[m], den)) for m in ordered)
+            object.__setattr__(self, "_sorted", terms)
         return self._sorted
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.terms())
 
-    def _ints(self) -> tuple:
-        """The integer view of a nonzero polynomial: (den, [(mono,
-        numerator over den)], largest exponent of each variable,
+    def _exponent_shape(self) -> tuple:
+        """For a nonzero polynomial: (largest exponent of each variable,
         ((i, exponents of variable i that occur), ...) for the variables
         that occur)."""
-        if self._int is None:
-            items = self._terms.items()
-            den = lcm(*{c.denominator for _, c in items})
-            if den == 1:
-                nums = [(m, c.numerator) for m, c in items]
-            else:
-                nums = [(m, c.numerator * (den // c.denominator)) for m, c in items]
-            columns = tuple(zip(*self._terms))
+        if self._shape is None:
+            columns = tuple(zip(*self._num))
             top = tuple(map(max, columns))
             used = tuple((i, frozenset(col)) for i, col in enumerate(columns) if top[i])
-            object.__setattr__(self, "_int", (den, nums, top, used))
-        return self._int
+            object.__setattr__(self, "_shape", (top, used))
+        return self._shape
 
     def term_dict(self) -> dict[tuple[int, ...], Fraction]:
-        """A copy of the underlying term mapping."""
-        return dict(self._terms)
+        """The terms as a fresh exponent tuple -> Fraction mapping."""
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._num.items()}
 
     def coefficient(self, mono: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+        return Fraction(self._num.get(tuple(mono), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.ring.nvars, Fraction(0))
+        return self.coefficient((0,) * self.ring.nvars)
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self._terms)
+        return all(sum(m) == 0 for m in self._num)
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading term under the canonical (grlex descending) order."""
-        if not self._terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
         return self.terms()[0]
 
@@ -227,22 +225,22 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Max total degree of any term; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(sum(m) for m in self._terms)
+        return max(sum(m) for m in self._num)
 
     def degree_in(self, name: str) -> int:
         """Max exponent of one variable; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
         i = self.ring.index(name)
-        return max(m[i] for m in self._terms)
+        return max(m[i] for m in self._num)
 
     def variables_used(self) -> tuple[str, ...]:
         used = [
             v
             for i, v in enumerate(self.ring.variables)
-            if any(m[i] for m in self._terms)
+            if any(m[i] for m in self._num)
         ]
         return tuple(used)
 
@@ -255,10 +253,10 @@ class Polynomial:
         """
         if self.ring.weights is None:
             raise GradingError("ring has no weights")
-        if not self._terms:
+        if not self._num:
             return 0
         w = self.ring.weights
-        degs = {sum(e * wt for e, wt in zip(m, w)) for m in self._terms}
+        degs = {sum(e * wt for e, wt in zip(m, w)) for m in self._num}
         if len(degs) == 1:
             return degs.pop()
         return DegreeSpread(min(degs), max(degs))
@@ -283,19 +281,25 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s:
-                out[mono] = s
+        # a/d1 + b/d2 = (a*s + b*t) / (d1*s) with s = d2/g, t = d1/g
+        g = gcd(self._den, other._den)
+        s, t = other._den // g, self._den // g
+        out = {m: c * s for m, c in self._num.items()}
+        get = out.get
+        for mono, c in other._num.items():
+            v = get(mono, 0) + c * t
+            if v:
+                out[mono] = v
             else:
-                out.pop(mono, None)
-        return Polynomial._make(self.ring, out)
+                del out[mono]
+        return Polynomial._make(self.ring, out, self._den * s)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._make(self.ring, {m: -c for m, c in self._terms.items()})
+        return Polynomial._make(
+            self.ring, {m: -c for m, c in self._num.items()}, self._den
+        )
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -314,32 +318,30 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return self.ring.zero()
-            return Polynomial._make(
-                self.ring, {m: c * v for m, v in self._terms.items()}
-            )
+            a, b = c.numerator, c.denominator
+            num = {m: a * v for m, v in self._num.items()}
+            return Polynomial._make(self.ring, num, self._den * b)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return self.ring.zero()
-        den1, nums1, top1, _ = self._ints()
-        den2, nums2, top2, _ = other._ints()
         # leading forms multiply in a domain, so each variable's largest
         # exponent in the product is exactly the sum of the factors'
-        for a, b in zip(top1, top2):
+        for a, b in zip(self._exponent_shape()[0], other._exponent_shape()[0]):
             if a + b > EXPONENT_CAP:
                 raise ExponentOverflowError(
                     f"exponent {a + b} exceeds cap {EXPONENT_CAP}"
                 )
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
-        for m1, c1 in nums1:
+        nums2 = other._num.items()
+        for m1, c1 in self._num.items():
             for m2, c2 in nums2:
                 mono = tuple(map(add, m1, m2))
                 acc[mono] = get(mono, 0) + c1 * c2
-        den = den1 * den2
-        out = {m: Fraction(c, den) for m, c in acc.items() if c}
-        return Polynomial._make(self.ring, out)
+        out = {m: c for m, c in acc.items() if c}
+        return Polynomial._make(self.ring, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -361,30 +363,31 @@ class Polynomial:
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
         i = self.ring.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in self._terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for mono, c in self._num.items():
             e = mono[i]
             if e:
-                out[mono[:i] + (e - 1,) + mono[i + 1 :]] = coeff * e
-        return Polynomial._make(self.ring, out)
+                out[mono[:i] + (e - 1,) + mono[i + 1 :]] = c * e
+        return Polynomial._make(self.ring, out, self._den)
 
     def evaluate(self, point: "Point") -> Fraction:
         if point.ring != self.ring:
             raise RingMismatchError("point lives in a different ring")
-        if not self._terms:
+        if not self._num:
             return Fraction(0)
-        den, nums, top, used = self._ints()
+        top, used = self._exponent_shape()
         # with coordinate i = a/b and t = top[i], a term's factor
         # (a/b)^e is a^e * b^(t-e) over the common b^t; the tables hold
         # only the exponents that occur, since t may be near EXPONENT_CAP
         coords = point.coordinates
+        den = self._den
         tables = []
         for i, exps in used:
             a, b, t = coords[i].numerator, coords[i].denominator, top[i]
             tables.append((i, {e: a**e * b ** (t - e) for e in exps}))
             den *= b**t
         total = 0
-        for mono, num in nums:
+        for mono, num in self._num.items():
             for i, table in tables:
                 num *= table[mono[i]]
             total += num
@@ -397,45 +400,45 @@ class Polynomial:
         if power == 0:
             return self
         i = self.ring.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in self._terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for mono, c in self._num.items():
             if mono[i] < power:
                 raise NotDivisibleError(
                     f"term with {name}^{mono[i]} not divisible by {name}^{power}",
                     witness=mono,
                 )
-            out[mono[:i] + (mono[i] - power,) + mono[i + 1 :]] = coeff
-        return Polynomial(self.ring, out)
+            out[mono[:i] + (mono[i] - power,) + mono[i + 1 :]] = c
+        return Polynomial._make(self.ring, out, self._den)
 
     def min_exponent(self, name: str) -> int:
         """Least exponent of name across terms (0 for the zero polynomial)."""
-        if not self._terms:
+        if not self._num:
             return 0
         i = self.ring.index(name)
-        return min(m[i] for m in self._terms)
+        return min(m[i] for m in self._num)
+
+    def _leading_numerator(self) -> int:
+        return self._num[max(self._num, key=grlex_key)]
 
     def content_and_primitive(self) -> tuple[Fraction, "Polynomial"]:
         """Write self = content * primitive with primitive having coprime
         integer coefficients and positive leading coefficient."""
-        if not self._terms:
+        if not self._num:
             return Fraction(0), self
-        coeffs = list(self._terms.values())
-        num = reduce(gcd, (abs(c.numerator) for c in coeffs))
-        den = reduce(_lcm, (c.denominator for c in coeffs))
-        content = Fraction(num, den)
-        if self.leading_coefficient() < 0:
-            content = -content
-        prim = self * (1 / content)
-        return content, prim
+        g = gcd(*self._num.values())
+        if self._leading_numerator() < 0:
+            g = -g
+        prim = {m: c // g for m, c in self._num.items()}
+        return Fraction(g, self._den), Polynomial._make(self.ring, prim)
 
     def primitive(self) -> "Polynomial":
         return self.content_and_primitive()[1]
 
     def monic(self) -> "Polynomial":
         """Scale so the canonical leading coefficient is 1."""
-        if not self._terms:
+        if not self._num:
             return self
-        return self * (1 / self.leading_coefficient())
+        return self * Fraction(self._den, self._leading_numerator())
 
     # -- equality and printing ----------------------------------------
 
@@ -444,10 +447,10 @@ class Polynomial:
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return (self.ring, self._den, self._num) == (other.ring, other._den, other._num)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
         from .parse import print_canonical
@@ -456,10 +459,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self!s})"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @dataclass(frozen=True)
@@ -543,13 +542,13 @@ class RingMap:
             return power_cache[key]
 
         total = self.target.zero()
-        for mono, coeff in f.term_dict().items():
+        for mono, coeff in f._num.items():
             piece = self.target.const(coeff)
             for i, e in enumerate(mono):
                 if e:
                     piece = piece * pow_img(i, e)
             total = total + piece
-        return total
+        return Polynomial._make(self.target, total._num, total._den * f._den)
 
     __call__ = apply
 

@@ -62,6 +62,26 @@ def test_eval_prints_values_past_the_digit_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_rationals_past_the_digit_limit_read_back(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    nines = "9" * 5000
+    assert run(["eval", "x", "--at", f"x={nines}"]) == 0
+    assert out(capsys) == nines
+    assert run(["eval", "x*s", "--at", f"x=-{nines}/7,s=1", "--format", "json"]) == 0
+    assert json.loads(out(capsys))["value"] == f"-{nines}/7"
+    assert run(["act", "--parameter", nines, "--point", f"{nines},0,0,0,0"]) == 0
+    assert out(capsys).startswith(f"{nines},")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_exponent_past_the_digit_limit_exits_2(capsys):
+    assert run(["eval", "x^" + "9" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "exceeds cap" in captured.err
+
+
 def test_eval_json(capsys):
     assert run(["eval", "x + x", "--format", "json"]) == 0
     assert json.loads(out(capsys)) == {"result": "2*x"}
@@ -324,6 +344,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         ["act", "--parameter", "1", "--point", "1/0,2,3,4,5"],
         ["act", "--parameter", "one", "--point", "1,2,3,4,5"],
         ["eval", "x", "--at", "x=1/0"],
+        ["eval", "x", "--at", "x=1/2/3"],
         ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
         ["kernel-compute", "--division-bound", "-1"],
         ["kernel-compute", "--division-bound", "many"],
@@ -333,6 +354,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         "point-zero-denominator",
         "parameter-bad-literal",
         "at-zero-denominator",
+        "at-bad-literal",
         "kernel-check-negative-bound",
         "kernel-compute-negative-bound",
         "kernel-compute-bad-bound",

@@ -159,15 +159,16 @@ def _small_polys(ring, max_exp=3):
 @given(st.sampled_from(ORDERS), _polys(EXT), _polys(R2))
 def test_pack_poly_round_trip(order, f, g):
     packing = _Packing(order, EXT.nvars)
-    assert packing.unpack_poly(EXT, packing.pack_poly(f)) == f
+    d, den = packing.pack_poly(f)
+    assert packing.unpack_poly(EXT, d, den=den) == f
     # a base-ring polynomial fills the leading variables of a wider packing
-    lifted = packing.unpack_poly(EXT, packing.pack_poly(g))
+    d, den = packing.pack_poly(g)
+    lifted = packing.unpack_poly(EXT, d, den=den)
     assert lifted == Polynomial(EXT, {m + (0, 0): c for m, c in g.term_dict().items()})
     # start drops the leading exponents on the way back out
     tagged = Polynomial(EXT, {(0, 0) + m: c for m, c in g.term_dict().items()})
-    assert packing.unpack_poly(TAGS, packing.pack_poly(tagged), 2) == Polynomial(
-        TAGS, g.term_dict()
-    )
+    d, den = packing.pack_poly(tagged)
+    assert packing.unpack_poly(TAGS, d, 2, den) == Polynomial(TAGS, g.term_dict())
 
 
 def test_overflow_surfaces_through_buchberger():

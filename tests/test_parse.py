@@ -14,6 +14,7 @@ from lndkit import (
     parse_polynomial,
     print_canonical,
 )
+from lndkit.poly import EXPONENT_CAP
 
 R2 = Ring(("x", "y"))
 RW = Ring(("x", "s", "t", "u", "v"), (1, 3, 3, 3, 2))
@@ -104,8 +105,16 @@ def test_exponent_cap():
     with pytest.raises(ExponentOverflowError):
         parse("x^70000")
     with pytest.raises(ExponentOverflowError):
-        parse_polynomial("x^6", R2, exponent_cap=5)
-    assert parse_polynomial("x^5", R2, exponent_cap=5) == R2.var("x") ** 5
+        parse(f"x^{EXPONENT_CAP + 1}")
+    assert parse(f"x^{EXPONENT_CAP}") == R2.var("x") ** EXPONENT_CAP
+    assert parse(f"x^000{EXPONENT_CAP}") == R2.var("x") ** EXPONENT_CAP
+
+
+def test_exponent_past_the_digit_limit():
+    # int() refuses literals this long; the cap must refuse them first
+    with pytest.raises(ExponentOverflowError):
+        parse("x^" + "9" * 5000)
+    assert parse("x^" + "0" * 5000 + "2") == R2.var("x") ** 2
 
 
 # -- printing ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from lndkit import (
     GradingError,
     LaurentElement,
     MixedDenominatorError,
+    MonomialOrder,
     NotDivisibleError,
     Point,
     Polynomial,
@@ -20,6 +21,8 @@ from lndkit import (
     RingMap,
     RingMismatchError,
     UnknownVariableError,
+    buchberger,
+    normal_form,
 )
 from lndkit.poly import EXPONENT_CAP, grlex_key
 
@@ -292,6 +295,39 @@ def test_trusted_results_are_clean(p, c):
         assert stored_terms_are_clean(result)
 
 
+def assert_canonical(p):
+    """p stores what the public constructor would store for its terms."""
+    rebuilt = Polynomial(p.ring, p.term_dict())
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@given(
+    polynomials(),
+    polynomials(),
+    small_fractions,
+    polynomials(max_terms=3, max_exp=2),
+    polynomials(max_terms=3, max_exp=2),
+)
+def test_trusted_results_are_canonical(a, b, c, g1, g2):
+    results = [
+        a + b, a - b, a - a, a * b, c * a, a * c, a.partial("x"),
+        (X * a).exact_divide_var("x"), a.primitive(), a.monic(),
+    ]
+    order = MonomialOrder.grevlex()
+    basis = buchberger([g1, g2], order)
+    results += [*basis, normal_form(a, basis, order)]
+    for r in results:
+        assert_canonical(r)
+
+
+def test_equal_polynomials_store_equal_data():
+    # kernel_check's seen set and set(result.generators) in casebook
+    # dedup through this hash
+    p = (Fraction(1, 2) * X) * (2 * Y)
+    assert p == X * Y and hash(p) == hash(X * Y)
+    assert len({p, X * Y, Polynomial(R3, {(1, 1, 0): 1})}) == 1
+
+
 @settings(max_examples=10)
 @example(EXPONENT_CAP, 0, Fraction(3, 7), Fraction(-2))
 @given(
@@ -355,6 +391,10 @@ def test_content_and_primitive():
 def test_monic():
     assert (3 * X + 6 * Y).monic() == X + 2 * Y
     assert R3.zero().monic().is_zero()
+    # a leading numerator of -1 still leaves a positive denominator
+    for p in (Y - X, Fraction(-1, 3) * X + Y):
+        assert_canonical(p.monic())
+        assert p.monic().leading_coefficient() == 1
 
 
 def test_eq_hash():
