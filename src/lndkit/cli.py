@@ -148,7 +148,14 @@ def _cmd_eval(args) -> int:
     ring = _ring_from(args)
     p = parse_polynomial(args.expr, ring)
     if args.at is not None:
-        assignments = dict(piece.split("=", 1) for piece in _split_csv(args.at))
+        assignments: dict[str, str] = {}
+        for piece in _split_csv(args.at):
+            name, sep, value = piece.partition("=")
+            if not sep:
+                raise ValueError(f"bad --at assignment {piece!r}, expected name=value")
+            if name in assignments:
+                raise ValueError(f"variable {name!r} assigned twice in --at")
+            assignments[name] = value
         coords = [_rational(assignments.pop(name, "0")) for name in ring.variables]
         if assignments:
             raise ValueError(f"unknown variables in --at: {sorted(assignments)}")

@@ -74,8 +74,9 @@ class MonomialOrder:
             return cls.grlex()
         if name == "grevlex":
             return cls.grevlex()
-        if name.startswith("elim:"):
-            return cls.elimination(int(name.split(":", 1)[1]))
+        block = name.removeprefix("elim:")
+        if block != name and block.isdecimal():
+            return cls.elimination(int(block))
         raise ValueError(f"unknown order {name!r}")
 
     def key(self) -> Callable[[tuple[int, ...]], tuple]:
@@ -182,6 +183,10 @@ class _Packing:
         mask = self.mask
         return tuple((p >> s) & mask for s in self.raw_shifts)
 
+    def lcm(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        """The packed lcm of two exponent tuples."""
+        return self.pack(tuple(x if x >= y else y for x, y in zip(a, b)))
+
     def pack_poly(self, f: Polynomial) -> tuple[dict, int]:
         """(packed integer numerators of f, their denominator).
 
@@ -212,9 +217,9 @@ def _checked(p: int, guard: int) -> int:
 
 
 # -- packed-dict engine ----------------------------------------------------
-# Entries are (leading monomial, leading coefficient, dict, tail items)
-# with all monomials packed and all coefficients integers, the dict
-# primitive.
+# Entries are (leading monomial, leading coefficient, tail items) with all
+# monomials packed and all coefficients integers, content 1 and the
+# leading coefficient positive.
 
 
 def _primitive(d: dict) -> dict:
@@ -229,9 +234,10 @@ def _primitive(d: dict) -> dict:
 
 
 def _entry(d: dict) -> tuple:
+    """The entry of the primitive multiple of the nonzero integer dict d."""
+    d = _primitive(d)
     lm = max(d)
-    tail = tuple((m, c) for m, c in d.items() if m != lm)
-    return (lm, d[lm], d, tail)
+    return (lm, d[lm], tuple((m, c) for m, c in d.items() if m != lm))
 
 
 class _Reducer:
@@ -298,7 +304,7 @@ class _Reducer:
             if k < 0:
                 remainder[lead] = coeff
                 continue
-            lm, lc, _, tail = entries[k]
+            lm, lc, tail = entries[k]
             shift = lead - lm
             if lc == 1:
                 scale = coeff
@@ -331,16 +337,17 @@ class _Reducer:
 
 
 def _spoly(a: tuple, b: tuple, plcm: int, guard: int) -> dict:
-    """(lcb/g)*x^sa*A - (lca/g)*x^sb*B with g = gcd(lca, lcb), in integers."""
-    lma, lca, fa, _ = a
-    lmb, lcb, fb, _ = b
+    """(lcb/g)*x^sa*A - (lca/g)*x^sb*B with g = gcd(lca, lcb), in integers.
+
+    The leading terms cancel by construction, so only the tails enter.
+    """
+    lma, lca, ta = a
+    lmb, lcb, tb = b
     sa, sb = plcm - lma, plcm - lmb
     g = gcd(lca, lcb)
     ca, cb = lcb // g, lca // g
-    out: dict = {}
-    for m, c in fa.items():
-        out[_checked(m + sa, guard)] = ca * c
-    for m, c in fb.items():
+    out = {_checked(m + sa, guard): ca * c for m, c in ta}
+    for m, c in tb:
         mm = _checked(m + sb, guard)
         val = out.get(mm, 0) - cb * c
         if val:
@@ -351,7 +358,7 @@ def _spoly(a: tuple, b: tuple, plcm: int, guard: int) -> dict:
 
 
 class _Engine:
-    """Resumable Buchberger loop on packed, primitive integer dicts.
+    """Resumable Buchberger loop on packed, primitive integer entries.
 
     Pairs pop by weighted lcm degree (weights default to all ones), then
     the order rank of the lcm, then indices.  The pair set is maintained
@@ -360,8 +367,8 @@ class _Engine:
     collapse to one, and old pairs die when the new lead divides their
     lcm strictly between the two old lcms.  Retired elements (lead
     divisible by a newer lead) stop forming pairs but keep reducing.
-    Lcms are taken on exponent tuples: packed values cannot be maxed
-    fieldwise without desyncing the degree sums.
+    Each lcm with the newest lead is taken once: the sum of the packed
+    leads when they share no variable, else on exponent tuples.
 
     When every input is homogeneous for the selection weights, the pop
     degree never decreases, so after complete_to(d) the basis computes
@@ -372,8 +379,8 @@ class _Engine:
     """
 
     __slots__ = (
-        "packing", "guard", "weights", "basis", "lm_tuples", "alive",
-        "pairs", "pair_heap", "reducer", "_reduced",
+        "packing", "guard", "weights", "basis", "lm_tuples", "supports",
+        "alive", "pairs", "pair_heap", "reducer", "_reduced",
     )
 
     def __init__(
@@ -387,6 +394,8 @@ class _Engine:
         self.weights = tuple(weights) if weights else (1,) * packing.nvars
         self.basis: list[tuple] = []
         self.lm_tuples: list[tuple[int, ...]] = []
+        # bit j set when variable j occurs in the lead
+        self.supports: list[int] = []
         self.alive: list[bool] = []
         self.pairs: dict[tuple[int, int], int] = {}
         self.pair_heap: list[tuple] = []
@@ -396,58 +405,55 @@ class _Engine:
             self._adjoin(d)
 
     def _update(self, t: int) -> None:
-        packing = self.packing
         guard = self.guard
-        pairs = self.pairs
+        basis = self.basis
         lm_tuples = self.lm_tuples
+        supports = self.supports
         alive = self.alive
-        T = lm_tuples[t]
-        Tp = self.basis[t][0]
+        pairs = self.pairs
+        pack_lcm = self.packing.lcm
+        T, St, Tp = lm_tuples[t], supports[t], basis[t][0]
+        lcms = []
         cand = []
         for i in range(t):
-            if not alive[i]:
-                continue
-            Li = lm_tuples[i]
-            lcm = tuple(x if x >= y else y for x, y in zip(Li, T))
-            cop = not any(x and y for x, y in zip(Li, T))
-            wdeg = sum(w * e for w, e in zip(self.weights, lcm))
-            cand.append((i, packing.pack(lcm), wdeg, cop))
-        survivors: list[tuple] = []
-        while cand:
-            item = cand.pop()
-            if not item[3]:
-                raised = item[1] | guard
-                if any(
-                    (raised - q) & guard == guard for _, q, _, _ in cand
-                ) or any(
-                    (raised - q) & guard == guard for _, q, _, _ in survivors
-                ):
-                    continue
-            survivors.append(item)
+            shares = supports[i] & St
+            if shares:
+                plcm = pack_lcm(lm_tuples[i], T)
+            else:
+                plcm = _checked(basis[i][0] + Tp, guard)
+            lcms.append(plcm)
+            if alive[i]:
+                cand.append((plcm, shares != 0, i))
+                if plcm == basis[i][0]:
+                    alive[i] = False
         for key, plcm in list(pairs.items()):
-            raised = plcm | guard
-            if (raised - Tp) & guard != guard:
-                continue
-            i, j = key
-            li = tuple(x if x >= y else y for x, y in zip(lm_tuples[i], T))
-            if packing.pack(li) == plcm:
-                continue
-            lj = tuple(x if x >= y else y for x, y in zip(lm_tuples[j], T))
-            if packing.pack(lj) == plcm:
-                continue
-            del pairs[key]
-        for i, plcm, wdeg, cop in survivors:
-            if cop:
-                continue
-            pairs[(i, t)] = plcm
-            heapq.heappush(self.pair_heap, (wdeg, plcm, i, t))
-        for i in range(t):
-            if alive[i] and ((self.basis[i][0] | guard) - Tp) & guard == guard:
-                alive[i] = False
+            if (
+                ((plcm | guard) - Tp) & guard == guard
+                and lcms[key[0]] != plcm
+                and lcms[key[1]] != plcm
+            ):
+                del pairs[key]
+        # chain criterion: ascending, a candidate dies to any kept lcm
+        # dividing its own; coprime ones sort first in a tie and are kept
+        # for this test but never queued
+        kept: list[int] = []
+        weights = self.weights
+        for plcm, shares, i in sorted(cand):
+            if shares:
+                raised = plcm | guard
+                if any((raised - q) & guard == guard for q in kept):
+                    continue
+                L = lm_tuples[i]
+                wdeg = sum(w * (x if x >= y else y) for w, x, y in zip(weights, L, T))
+                pairs[(i, t)] = plcm
+                heapq.heappush(self.pair_heap, (wdeg, plcm, i, t))
+            kept.append(plcm)
 
     def _adjoin(self, d: dict) -> None:
-        self.basis.append(_entry(_primitive(d)))
-        self.lm_tuples.append(self.packing.unpack(self.basis[-1][0]))
+        self.basis.append(_entry(d))
+        T = self.packing.unpack(self.basis[-1][0])
+        self.lm_tuples.append(T)
+        self.supports.append(sum(1 << j for j, e in enumerate(T) if e))
         self.alive.append(True)
         self._update(len(self.basis) - 1)
 
@@ -477,35 +483,26 @@ class _Engine:
         gives the reduced monic basis."""
         if self._reduced is None:
             self.complete()
-            self._reduced = _interreduce(self.basis, self.packing)
+            self._reduced = _interreduce(self.basis, self.guard)
         return self._reduced
 
 
-def _interreduce(basis: Sequence[tuple], packing: _Packing) -> list[dict]:
-    # minimal basis: drop anything whose lead another lead divides,
-    # keeping only the first of any leading-monomial tie
-    guard = packing.guard
+def _interreduce(basis: Sequence[tuple], guard: int) -> list[dict]:
+    # minimal basis: ascending by lead, drop any lead that a kept lead
+    # divides, so the first element of a tie wins
     kept: list[tuple] = []
-    for idx, entry in enumerate(basis):
-        lm = entry[0]
-        raised = lm | guard
-        dominated = False
-        for k, other in enumerate(basis):
-            if k == idx:
-                continue
-            lm2 = other[0]
-            if (raised - lm2) & guard == guard and (lm2 != lm or k < idx):
-                dominated = True
-                break
-        if not dominated:
+    for entry in sorted(basis, key=lambda e: e[0]):
+        raised = entry[0] | guard
+        if not any((raised - k[0]) & guard == guard for k in kept):
             kept.append(entry)
-    # tail-reduce each survivor against the others
+    # no lead divides a term below itself, so one reducer over all the
+    # survivors reduces each tail against the others
+    reducer = _Reducer(kept, guard)
     reduced: list[dict] = []
-    for i, entry in enumerate(kept):
-        others = [kept[k] for k in range(len(kept)) if k != i]
-        nf = _Reducer(others, guard).reduce(entry[2])[0] if others else entry[2]
+    for lm, lc, tail in kept:
+        nf, den = reducer.reduce(dict(tail))
+        nf[lm] = lc * den
         reduced.append(_primitive(nf))
-    reduced.sort(key=max)
     return reduced
 
 
@@ -523,11 +520,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         raise ValueError("s-polynomial of zero is undefined")
     ring = _common_ring([f, g])
     packing = _Packing(order, ring.nvars)
-    ea = _entry(_primitive(packing.pack_poly(f)[0]))
-    eb = _entry(_primitive(packing.pack_poly(g)[0]))
-    plcm = packing.pack(
-        tuple(max(x, y) for x, y in zip(packing.unpack(ea[0]), packing.unpack(eb[0])))
-    )
+    ea = _entry(packing.pack_poly(f)[0])
+    eb = _entry(packing.pack_poly(g)[0])
+    plcm = packing.lcm(packing.unpack(ea[0]), packing.unpack(eb[0]))
     # the integer s-polynomial of the primitive parts is lcm(lca, lcb) times it
     out = _spoly(ea, eb, plcm, packing.guard)
     return packing.unpack_poly(ring, out, den=lcm(ea[1], eb[1]))
@@ -548,7 +543,7 @@ def normal_form(
     packing = _Packing(order, ring.nvars)
     # scaling a divisor leaves every step's cancellation, hence the
     # remainder, unchanged
-    entries = [_entry(_primitive(packing.pack_poly(g)[0])) for g in nonzero]
+    entries = [_entry(packing.pack_poly(g)[0]) for g in nonzero]
     remainder, den = _Reducer(entries, packing.guard).reduce(*packing.pack_poly(f))
     return packing.unpack_poly(ring, remainder, den=den)
 

@@ -370,15 +370,16 @@ def kernel_compute(
 
 
 def _minimize(generators: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
-    """Drop generators already contained in the algebra of the others."""
+    """Drop generators already contained in the algebra of the others.
+
+    One forward pass suffices: a generator kept because it lies outside
+    the algebra of the others stays outside when the others shrink.
+    """
     gens = list(generators)
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for i in range(len(gens)):
-            rest = gens[:i] + gens[i + 1 :]
-            if SubalgebraTester(rest).contains(gens[i]):
-                gens.pop(i)
-                changed = True
-                break
+    i = 0
+    while i < len(gens) and len(gens) > 1:
+        if SubalgebraTester(gens[:i] + gens[i + 1 :]).contains(gens[i]):
+            gens.pop(i)
+        else:
+            i += 1
     return tuple(gens)

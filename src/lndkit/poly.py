@@ -166,6 +166,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return (Polynomial._make, (self.ring, self._num, self._den))
+
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -345,6 +345,9 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         ["act", "--parameter", "one", "--point", "1,2,3,4,5"],
         ["eval", "x", "--at", "x=1/0"],
         ["eval", "x", "--at", "x=1/2/3"],
+        ["eval", "x^2", "--ring", "x", "--at", "x=1,x=2"],
+        ["eval", "x^2", "--ring", "x", "--at", "x"],
+        ["groebner", "--order", "elim:", "x"],
         ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
         ["kernel-compute", "--division-bound", "-1"],
         ["kernel-compute", "--division-bound", "many"],
@@ -355,6 +358,9 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         "parameter-bad-literal",
         "at-zero-denominator",
         "at-bad-literal",
+        "at-duplicate-variable",
+        "at-missing-value",
+        "order-elim-without-block",
         "kernel-check-negative-bound",
         "kernel-compute-negative-bound",
         "kernel-compute-bad-bound",
@@ -365,6 +371,20 @@ def test_bad_arguments_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "x", "--ring", "x", "--at", "x=1,x=2"], "'x' assigned twice"),
+        (["eval", "x", "--ring", "x", "--at", "x"], "assignment 'x'"),
+        (["groebner", "--order", "elim:", "x"], "unknown order 'elim:'"),
+    ],
+    ids=["at-duplicate-variable", "at-missing-value", "order-elim-without-block"],
+)
+def test_bad_argument_message_names_the_piece(argv, message, capsys):
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def _run_with_derivation_file(path, data):

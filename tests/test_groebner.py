@@ -195,6 +195,18 @@ def test_s_polynomial_pinned():
         s_polynomial(f, R3.zero(), MonomialOrder.grlex())
 
 
+@given(st.sampled_from(ORDERS), _small_polys(R3), _small_polys(R3))
+def test_s_polynomial_matches_definition(order, f, g):
+    key = order.key()
+    lf = max(f.term_dict(), key=key)
+    lg = max(g.term_dict(), key=key)
+    top = tuple(max(a, b) for a, b in zip(lf, lg))
+    xa = Polynomial(R3, {tuple(t - e for t, e in zip(top, lf)): 1})
+    xb = Polynomial(R3, {tuple(t - e for t, e in zip(top, lg)): 1})
+    expected = xa * f * (1 / f.term_dict()[lf]) - xb * g * (1 / g.term_dict()[lg])
+    assert s_polynomial(f, g, order) == expected
+
+
 def test_s_polynomial_self_cancels():
     f = X**2 + Y
     assert s_polynomial(f, f, MonomialOrder.grlex()).is_zero()
@@ -267,16 +279,22 @@ def test_basis_is_reduced_and_monic():
         order = ORDERS[trial % len(ORDERS)]
         key = order.key()
         gens = [_random_poly(rng, R2, max_terms=3, max_exp=3) for _ in range(3)]
-        basis = buchberger(gens, order)
-        leads = [max(g.term_dict(), key=key) for g in basis]
-        for i, g in enumerate(basis):
-            assert g.term_dict()[leads[i]] == 1
-            # no term of g is divisible by another lead
-            for m in g.term_dict():
-                for j, lead in enumerate(leads):
-                    if i == j and m == leads[i]:
-                        continue
-                    assert not all(a <= b for a, b in zip(lead, m))
+        g = gens[0]
+        expected = buchberger(gens, order)
+        # inputs whose leads tie or divide each other: g given twice, g
+        # with 3*g, g with x*g
+        for extra in ([], [g], [3 * g], [X2 * g]):
+            basis = buchberger(gens + extra, order)
+            assert basis == expected
+            leads = [max(b.term_dict(), key=key) for b in basis]
+            for i, b in enumerate(basis):
+                assert b.term_dict()[leads[i]] == 1
+                # no term of b is divisible by another lead
+                for m in b.term_dict():
+                    for j, lead in enumerate(leads):
+                        if i == j and m == leads[i]:
+                            continue
+                        assert not all(a <= c for a, c in zip(lead, m))
 
 
 def test_buchberger_certificate():

@@ -1,5 +1,7 @@
 """Slices, localized kernel generators, and the reduce-and-divide loop."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -203,6 +205,13 @@ def test_kernel_compute_quotient(context):
         context.quotient_derivation, result.generators, context.quotient_slice
     )
     assert confirm.status is KernelStatus.CONFIRMED
+
+
+def test_kernel_compute_result_copies_and_pickles(context):
+    result = kernel_compute(context.quotient_derivation, context.quotient_slice, 5)
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        back = clone(result)
+        assert back == result and hash(back) == hash(result)
 
 
 def test_kernel_compute_folded(context):

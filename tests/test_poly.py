@@ -1,5 +1,7 @@
 """Ring, Polynomial, Point, RingMap, and LaurentElement behavior."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -326,6 +328,18 @@ def test_equal_polynomials_store_equal_data():
     p = (Fraction(1, 2) * X) * (2 * Y)
     assert p == X * Y and hash(p) == hash(X * Y)
     assert len({p, X * Y, Polynomial(R3, {(1, 1, 0): 1})}) == 1
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copy_and_pickle_round_trip(clone):
+    for p in (Fraction(3, 4) * X**2 * Y - 5 * Z + Fraction(1, 6), R3.zero()):
+        q = clone(p)
+        assert type(q) is Polynomial
+        assert q == p and hash(q) == hash(p)
 
 
 @settings(max_examples=10)
