@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .casebook import builtin_context, random_suite, verify_paper
 from .derivation import Derivation
-from .errors import LndError
+from .errors import InputError, LndError
 from .groebner import (
     MonomialOrder,
     buchberger,
@@ -38,7 +38,7 @@ from .poly import Point, Ring
 def _split_csv(text: str) -> list[str]:
     items = [piece.strip() for piece in text.split(",")]
     if any(not piece for piece in items):
-        raise ValueError(f"bad comma-separated list: {text!r}")
+        raise InputError(f"bad comma-separated list: {text!r}")
     return items
 
 
@@ -47,7 +47,7 @@ def _rational(text: str) -> Fraction:
     match = re.fullmatch(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*", text)
     denominator = _integer(match[3] or "1") if match else 0
     if not denominator:
-        raise ValueError(f"bad rational number: {text!r}")
+        raise InputError(f"bad rational number: {text!r}")
     value = Fraction(_integer(match[2]), denominator)
     return -value if match[1] == "-" else value
 
@@ -65,12 +65,15 @@ def _nonnegative_int(text: str) -> int:
 def _ring_from(args) -> Ring:
     if getattr(args, "ring", None) is None:
         if getattr(args, "weights", None) is not None:
-            raise ValueError("--weights requires --ring")
+            raise InputError("--weights requires --ring")
         return builtin_context().ring
     names = tuple(_split_csv(args.ring))
     weights = None
     if getattr(args, "weights", None) is not None:
-        weights = tuple(int(w) for w in _split_csv(args.weights))
+        pieces = _split_csv(args.weights)
+        if not all(piece.isdecimal() for piece in pieces):
+            raise InputError(f"bad --weights list: {args.weights!r}")
+        weights = tuple(int(w) for w in pieces)
     return Ring(names, weights)
 
 
@@ -85,7 +88,7 @@ def _derivation_from(args) -> Derivation:
             "DeltaPrime": context.folded_derivation,
         }
         if name not in table:
-            raise ValueError(
+            raise InputError(
                 f"unknown builtin derivation {name!r}; "
                 f"choose from {', '.join(table)}"
             )
@@ -97,7 +100,7 @@ def _derivation_from(args) -> Derivation:
     if getattr(args, "ring", None) is not None:
         declared = _ring_from(args)
         if declared != derivation.ring:
-            raise ValueError(
+            raise InputError(
                 f"--ring {declared.variables} does not match the "
                 f"derivation's ring {derivation.ring.variables}"
             )
@@ -106,21 +109,21 @@ def _derivation_from(args) -> Derivation:
 
 def _derivation_from_json(data) -> Derivation:
     if not isinstance(data, dict):
-        raise ValueError("derivation file: the top level must be an object")
+        raise InputError("derivation file: the top level must be an object")
     ring_data = data.get("ring")
     if not isinstance(ring_data, dict):
-        raise ValueError('derivation file: "ring" must be an object')
+        raise InputError('derivation file: "ring" must be an object')
     names = ring_data.get("vars")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValueError('derivation file: "ring.vars" must be a list of strings')
+        raise InputError('derivation file: "ring.vars" must be a list of strings')
     weights = ring_data.get("weights")
     if weights is not None and not isinstance(weights, list):
-        raise ValueError('derivation file: "ring.weights" must be a list')
+        raise InputError('derivation file: "ring.weights" must be a list')
     table = data.get("derivation")
     if not isinstance(table, dict) or not all(
         isinstance(text, str) for text in table.values()
     ):
-        raise ValueError(
+        raise InputError(
             'derivation file: "derivation" must be an object mapping '
             "variable names to polynomial strings"
         )
@@ -152,13 +155,13 @@ def _cmd_eval(args) -> int:
         for piece in _split_csv(args.at):
             name, sep, value = piece.partition("=")
             if not sep:
-                raise ValueError(f"bad --at assignment {piece!r}, expected name=value")
+                raise InputError(f"bad --at assignment {piece!r}, expected name=value")
             if name in assignments:
-                raise ValueError(f"variable {name!r} assigned twice in --at")
+                raise InputError(f"variable {name!r} assigned twice in --at")
             assignments[name] = value
         coords = [_rational(assignments.pop(name, "0")) for name in ring.variables]
         if assignments:
-            raise ValueError(f"unknown variables in --at: {sorted(assignments)}")
+            raise InputError(f"unknown variables in --at: {sorted(assignments)}")
         value = _rational_text(p.evaluate(Point(ring, tuple(coords))))
         _emit(args, {"value": value}, value)
         return 0
@@ -250,7 +253,7 @@ def _cmd_member(args) -> int:
 def _make_slice(args, derivation: Derivation) -> Slice:
     if args.slice_var is not None:
         if args.loc is None:
-            raise ValueError("--slice-var requires --loc")
+            raise InputError("--slice-var requires --loc")
         return Slice.of(derivation, args.slice_var, args.loc)
     return Slice.infer(derivation, args.loc)
 

@@ -13,6 +13,15 @@ class LndError(Exception):
     """Base class for all lndkit errors."""
 
 
+class InputError(LndError, ValueError):
+    """Malformed command-line input: a list, number, option combination
+    or derivation file the front end cannot use.
+
+    It is also a ValueError, so callers that catch ValueError keep
+    working.
+    """
+
+
 class RingMismatchError(LndError):
     """Operands live in different rings."""
 

@@ -18,6 +18,15 @@ division runs fraction-free, so no Fraction is built in this module.
 Subalgebra testers against weighted-homogeneous elements grow their
 basis lazily, degree by degree, just far enough to answer each
 membership query.
+
+Both derived tools adjoin one tag variable X1..Xk per element and
+eliminate the ring variables, which are ordered grlex.  The tester
+breaks ties grevlex on the tags, because the grevlex tag ideal has a
+much smaller basis and a membership answer does not depend on the order.
+relation_ideal keeps grlex on the tags, so its reduced basis stays the
+pinned one.  A representation is exact and deterministic, but when the
+elements satisfy relations it is one of several tag polynomials with the
+same value, and it may differ from the one earlier releases printed.
 """
 
 from __future__ import annotations
@@ -67,6 +76,12 @@ class MonomialOrder:
         return cls("elim", block)
 
     @classmethod
+    def _tag_elimination(cls, block: int) -> "MonomialOrder":
+        """The subalgebra tester's order: like elimination(block), but
+        ties are broken grevlex on the rest (the tag block)."""
+        return cls("elim-grevlex", block)
+
+    @classmethod
     def from_name(cls, name: str) -> "MonomialOrder":
         if name == "lex":
             return cls.lex()
@@ -94,10 +109,18 @@ class MonomialOrder:
                 return (sum(head), head, sum(tail), tail)
 
             return elim_key
+        if self.kind == "elim-grevlex":
+            k = self.block
+
+            def tag_key(m: tuple[int, ...]) -> tuple:
+                head, tail = m[:k], m[k:]
+                return (sum(head), head, sum(tail), tuple(-e for e in reversed(tail)))
+
+            return tag_key
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     def __str__(self) -> str:
-        return f"elim:{self.block}" if self.kind == "elim" else self.kind
+        return self.kind if self.block is None else f"{self.kind}:{self.block}"
 
 
 # -- packed monomials ------------------------------------------------------
@@ -145,12 +168,16 @@ class _Packing:
                 rows.append(tuple(1 if i < m else 0 for i in range(n)))
             for j in range(n):
                 rows.append(raw(j))
-        elif kind == "elim":
+        elif kind in ("elim", "elim-grevlex"):
             k = order.block
             rows.append(tuple(1 if i < k else 0 for i in range(n)))
             for j in range(k):
                 rows.append(raw(j))
             rows.append(tuple(1 if i >= k else 0 for i in range(n)))
+            if kind == "elim-grevlex":
+                # the grevlex partial sums, restricted to the tail
+                for m in range(n - 1, k, -1):
+                    rows.append(tuple(1 if k <= i < m else 0 for i in range(n)))
             for j in range(k, n):
                 rows.append(raw(j))
         else:
@@ -605,8 +632,10 @@ def _fresh_tag_names(ring: Ring, count: int, prefix: str | None) -> tuple[str, .
 class RelationIdeal:
     """All polynomial relations among a fixed list of ring elements.
 
-    generators is a reduced Groebner basis (under grlex on the tag ring)
-    of the kernel of tag_ring -> R, tag i -> element i.
+    generators is a reduced Groebner basis of the kernel of
+    tag_ring -> R, tag i -> element i, sorted by grlex.  relation_ideal
+    gives the basis under grlex on the tag ring;
+    SubalgebraTester.relations() gives the tester's grevlex one.
     """
 
     tag_ring: Ring
@@ -627,15 +656,29 @@ class SubalgebraTester:
 
     Builds a Groebner basis of the ideal (g_i - tag_i) in the ring
     extended by one tag per element, under a block order that eliminates
-    the original variables.  The normal form of f then lands in the tag
-    ring exactly when f belongs to the subalgebra, and the remainder is
-    a representing polynomial.  When every element is homogeneous for
-    the ring's weights, the basis is completed lazily: each membership
-    query extends it just past the query's weighted degree, which is as
-    far as the answer can depend on.
+    the original variables (grlex on them) and breaks ties grevlex on
+    the tags.  The normal form of f then lands in the tag ring exactly
+    when f belongs to the subalgebra, and the remainder is a
+    representing polynomial: exact and deterministic, but when the
+    elements satisfy relations not the only one, and not always the one
+    earlier releases (grlex on the tags) gave.  basis(),
+    relation_generators() and relations() describe the grevlex tag
+    ideal.  When every element is homogeneous for the ring's weights,
+    the basis is completed lazily: each membership query extends it just
+    past the query's weighted degree, which is as far as the answer can
+    depend on.
     """
 
     def __init__(self, elements: Sequence[Polynomial], tag_prefix: str | None = None):
+        self._setup(elements, tag_prefix, MonomialOrder._tag_elimination)
+
+    def _setup(
+        self,
+        elements: Sequence[Polynomial],
+        tag_prefix: str | None,
+        order: Callable[[int], MonomialOrder],
+    ) -> None:
+        """Build the tester under order(number of ring variables)."""
         elements = tuple(elements)
         if not elements:
             raise ValueError("at least one element required")
@@ -645,7 +688,7 @@ class SubalgebraTester:
         self.tags = _fresh_tag_names(ring, len(elements), tag_prefix)
         self.tag_ring = Ring(self.tags)
         self.extended = Ring(ring.variables + self.tags)
-        self.order = MonomialOrder.elimination(ring.nvars)
+        self.order = order(ring.nvars)
         packing = _Packing(self.order, self.extended.nvars)
         self._ring_weights = ring.weights or (1,) * ring.nvars
         tag_weights = []
@@ -725,8 +768,11 @@ class SubalgebraTester:
 def relation_ideal(
     elements: Sequence[Polynomial], tag_prefix: str | None = None
 ) -> RelationIdeal:
-    """The ideal of algebraic relations among the given elements."""
-    return SubalgebraTester(elements, tag_prefix).relations()
+    """The ideal of algebraic relations among the given elements, as its
+    reduced Groebner basis under grlex on the tags."""
+    tester = SubalgebraTester.__new__(SubalgebraTester)
+    tester._setup(elements, tag_prefix, MonomialOrder.elimination)
+    return tester.relations()
 
 
 def subalgebra_membership(
@@ -734,7 +780,8 @@ def subalgebra_membership(
 ) -> Polynomial | None:
     """Representation of f over the given elements, or None.
 
-    One-shot convenience around SubalgebraTester; build the tester
+    One-shot convenience around SubalgebraTester, so the representation
+    is the normal form under its grevlex tag block.  Build the tester
     directly when testing many elements against one list.
     """
     return SubalgebraTester(elements, tag_prefix).representation(f)

@@ -6,6 +6,11 @@ product of the given elements, and extracts the kernel of the resulting
 linear map with Gaussian elimination over Fraction.  Any disagreement
 with the elimination-based relation ideal is a bug in one of the two.
 
+The membership oracle brute_member decides subalgebra membership for
+weighted-homogeneous elements by linear algebra alone: the algebra is
+graded, so f is a member exactly when each homogeneous component of f
+is a linear combination of the products of the elements of its degree.
+
 The term-dict oracles (naive_evaluate, naive_multiply, naive_apply,
 naive_orbit_point) redo polynomial arithmetic on plain
 {exponent tuple: Fraction} dicts, one Fraction operation per term, with
@@ -131,6 +136,46 @@ def in_span(vector: Polynomial, basis: list[Polynomial]) -> bool:
 
     basis_rows = [as_row(p) for p in basis]
     return _rank(basis_rows) == _rank(basis_rows + [as_row(vector)])
+
+
+def brute_member(f: Polynomial, elements: list[Polynomial]) -> bool:
+    """Whether f lies in the algebra generated by the weighted-homogeneous
+    elements (weights from the ring, all ones when it has none)."""
+    ring = f.ring
+    weights = ring.weights or (1,) * ring.nvars
+
+    def wdeg(mono):
+        return sum(w * e for w, e in zip(weights, mono))
+
+    # constants and zero add nothing to the algebra beyond the scalars
+    graded = []
+    for g in elements:
+        terms = g.term_dict()
+        degrees = {wdeg(m) for m in terms}
+        if len(degrees) > 1:
+            raise ValueError("elements must be weighted homogeneous")
+        if degrees and degrees != {0}:
+            graded.append((terms, degrees.pop()))
+    components: dict = {}
+    for m, c in f.term_dict().items():
+        components.setdefault(wdeg(m), {})[m] = c
+    one = {(0,) * ring.nvars: Fraction(1)}
+    for d, part in components.items():
+        bound = d // min(deg for _, deg in graded) if graded else 0
+        products = []
+        for mono in tag_monomials(len(graded), bound):
+            if sum(e * deg for e, (_, deg) in zip(mono, graded)) != d:
+                continue
+            value = one
+            for e, (terms, _) in zip(mono, graded):
+                for _ in range(e):
+                    value = naive_multiply(value, terms)
+            products.append(value)
+        support = sorted({m for p in products + [part] for m in p})
+        rows = [[Fraction(p.get(m, 0)) for m in support] for p in products]
+        if _rank(rows) != _rank(rows + [[Fraction(part.get(m, 0)) for m in support]]):
+            return False
+    return True
 
 
 # -- term-dict oracles ----------------------------------------------------

@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import sys
+from argparse import Namespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lndkit import InputError, LndError, cli
 from lndkit.cli import run
 
 
@@ -185,6 +187,16 @@ def test_relations(capsys):
     assert payload == {"tags": ["X1", "X2"], "generators": ["X1^3 - X2^2"]}
 
 
+def test_relations_are_grlex_on_the_tags(capsys):
+    assert run(["relations", "--ring", "t", "t^2", "t^3", "t^5"]) == 0
+    assert out(capsys).splitlines() == [
+        "X1*X2 - X3",
+        "X1^2*X3 - X2^3",
+        "X1^3 - X2^2",
+        "X2^4 - X1*X3^2",
+    ]
+
+
 def test_member_subalgebra(capsys):
     base = ["member", "--ring", "x,y"]
     assert run(base + ["x^2 + y^2", "x + y", "x*y"]) == 0
@@ -351,6 +363,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
         ["kernel-compute", "--division-bound", "-1"],
         ["kernel-compute", "--division-bound", "many"],
+        ["eval", "x", "--ring", "x", "--weights", "one"],
     ],
     ids=[
         "parameter-zero-denominator",
@@ -364,6 +377,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         "kernel-check-negative-bound",
         "kernel-compute-negative-bound",
         "kernel-compute-bad-bound",
+        "weights-not-integers",
     ],
 )
 def test_bad_arguments_exit_2(argv, capsys):
@@ -385,6 +399,32 @@ def test_bad_arguments_exit_2(argv, capsys):
 def test_bad_argument_message_names_the_piece(argv, message, capsys):
     assert run(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cli._split_csv("a,,b"),
+        lambda: cli._rational("1/0"),
+        lambda: cli._ring_from(Namespace(ring=None, weights="1")),
+        lambda: cli._ring_from(Namespace(ring="x", weights="one")),
+        lambda: cli._derivation_from(Namespace(derivation="builtin:E", ring=None)),
+        lambda: cli._derivation_from(Namespace(derivation="builtin:D", ring="x")),
+        lambda: cli._derivation_from_json({"ring": []}),
+        lambda: cli._cmd_eval(
+            Namespace(expr="x", ring="x", weights=None, at="y=1", format="text")
+        ),
+        lambda: cli._make_slice(Namespace(slice_var="s", loc=None), None),
+    ],
+    ids=[
+        "list", "rational", "weights-without-ring", "weights", "builtin-name",
+        "ring-mismatch", "derivation-json", "at", "slice-var",
+    ],
+)
+def test_input_errors_are_named(call):
+    with pytest.raises(InputError) as info:
+        call()
+    assert isinstance(info.value, LndError) and isinstance(info.value, ValueError)
 
 
 def _run_with_derivation_file(path, data):

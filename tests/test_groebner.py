@@ -4,8 +4,8 @@ relation ideals, and subalgebra membership.
 The packed engine is differentially tested against the plain order keys,
 normal_form against the definition of a remainder, buchberger against
 pinned classical bases and its own S-polynomial certificate, and
-relation_ideal against a linear-algebra oracle that knows no Groebner
-theory at all (see oracles.py).
+relation_ideal and SubalgebraTester against linear-algebra oracles that
+know no Groebner theory at all (see oracles.py).
 """
 
 import random
@@ -48,6 +48,12 @@ ORDERS = [
     MonomialOrder.elimination(2),
 ]
 
+# the subalgebra tester's own order, one ring variable and three tags:
+# grevlex and grlex agree on two tags
+T1 = Ring(("t",)).var("t")
+TESTER_ORDER = SubalgebraTester([T1, T1**2, T1**3]).order
+PACKED_ORDERS = [*ORDERS, TESTER_ORDER]
+
 
 def _random_poly(rng, ring, max_terms=3, max_exp=3, bound=5):
     terms = {}
@@ -84,12 +90,18 @@ def test_elimination_order_blocks():
     # any positive power of the first variable beats everything without it
     assert key((1, 0, 0)) > key((0, 9, 9))
     assert key((0, 2, 1)) > key((0, 1, 1))
+    # the tester keeps the head block and breaks tag ties grevlex:
+    # X1*X3^2 against X2^2*X3, as in test_grlex_vs_grevlex
+    tester_key = TESTER_ORDER.key()
+    assert tester_key((1, 0, 0, 0)) > tester_key((0, 9, 9, 9))
+    assert tester_key((0, 1, 0, 2)) < tester_key((0, 0, 2, 1))
+    assert key((0, 1, 0, 2)) > key((0, 0, 2, 1))
 
 
 # -- packed monomials vs plain keys ------------------------------------------
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=str)
+@pytest.mark.parametrize("order", PACKED_ORDERS, ids=str)
 def test_packing_agrees_with_key(order):
     rng = random.Random(sum(map(ord, str(order))))
     packing = _Packing(order, 4)
@@ -103,7 +115,7 @@ def test_packing_agrees_with_key(order):
     assert by_pack == by_key
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=str)
+@pytest.mark.parametrize("order", PACKED_ORDERS, ids=str)
 def test_packed_divisibility(order):
     rng = random.Random(len(str(order)))
     packing = _Packing(order, 4)
@@ -335,6 +347,22 @@ def test_relation_ideal_pinned():
         rel.evaluate(rel.generators[0], [t**2])
 
 
+def test_relation_ideal_is_grlex_on_the_tags():
+    # the relation ideal is pinned to grlex on the tags; the tester's own
+    # grevlex tag block gives a different reduced basis here
+    elements = [T1**2, T1**3, T1**5]
+    rel = relation_ideal(elements)
+    assert tuple(str(g) for g in rel.generators) == (
+        "X1*X2 - X3",
+        "X1^2*X3 - X2^3",
+        "X1^3 - X2^2",
+        "X2^4 - X1*X3^2",
+    )
+    grevlex = SubalgebraTester(elements).relations()
+    assert len(grevlex.generators) == 3
+    assert all(grevlex.evaluate(g, elements).is_zero() for g in grevlex.generators)
+
+
 def test_relation_ideal_linear():
     rel = relation_ideal([X2, X2 + Y2, Y2])
     assert tuple(str(g) for g in rel.generators) == ("X1 - X2 + X3",)
@@ -408,6 +436,56 @@ def test_membership_round_trip():
         rep = tester.representation(f)
         assert rep is not None
         assert substitute(rep) == f
+
+
+@st.composite
+def _homogeneous_elements(draw):
+    """Two or three nonzero homogeneous polynomials of R2, degrees 1 to 3."""
+    elements = []
+    for _ in range(draw(st.integers(2, 3))):
+        degree = draw(st.integers(1, 3))
+        monos = st.integers(0, degree).map(lambda a, d=degree: (a, d - a))
+        terms = draw(st.dictionaries(monos, _SCALARS, min_size=1, max_size=2))
+        elements.append(Polynomial(R2, terms))
+    return elements
+
+
+@settings(max_examples=30)
+@given(_homogeneous_elements(), st.data())
+def test_membership_agrees_with_brute_force(elements, data):
+    tester = SubalgebraTester(elements)
+    substitute = RingMap(tester.tag_ring, R2, tuple(elements))
+    member = substitute(data.draw(_polys(tester.tag_ring, 2, 3, _SCALARS)))
+    degree = data.draw(st.integers(0, 4))
+    nudge = Polynomial(
+        R2, {(a, degree - a): c for a, c in data.draw(
+            st.dictionaries(st.integers(0, degree), _SCALARS, min_size=1, max_size=2)
+        ).items()}
+    )
+    for f, known_member in ((member, True), (member + nudge, None)):
+        expected = oracles.brute_member(f, elements)
+        if known_member:
+            assert expected
+        rep = tester.representation(f)
+        assert (rep is not None) == expected
+        if rep is not None:
+            assert substitute(rep) == f
+
+
+def test_representation_is_a_witness():
+    # the elements satisfy relations, so several tag polynomials represent
+    # t^6*u^2; whichever the tester picks must evaluate back
+    ring = Ring(("t", "u"))
+    t, u = ring.var("t"), ring.var("u")
+    elements = [t**2, t**3, u, t * u]
+    f = t**6 * u**2
+    tester = SubalgebraTester(elements)
+    rep = tester.representation(f)
+    assert rep is not None and oracles.brute_member(f, elements)
+    assert tester.relations().evaluate(rep, elements) == f
+    assert tester.representation(f) == rep
+    g = t * u**2 + t
+    assert not tester.contains(g) and not oracles.brute_member(g, elements)
 
 
 def test_constants_and_zero():

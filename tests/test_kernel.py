@@ -235,6 +235,16 @@ def test_kernel_compute_growth(growth3, context):
         assert context.derivation(p).is_zero()
 
 
+def test_round_three_membership_work(growth3):
+    # the tester's grevlex tag block keeps the round-3 basis small: 77
+    # entries, where a grlex tag block needs 183
+    tester = SubalgebraTester(growth3.generators[: growth3.counts[2]])
+    quotients = [c.quotient for c in growth3.outcomes[2].checks if c.quotient]
+    fresh = [q for q in quotients if not tester.contains(q)]
+    assert len(quotients) == 52 and len(fresh) == 40
+    assert len(tester._engine.basis) < 100
+
+
 def test_kernel_compute_custom_seed(context):
     ring = context.quotient_ring
     seed = [
