@@ -154,6 +154,7 @@ def _cmd_eval(args) -> int:
         assignments: dict[str, str] = {}
         for piece in _split_csv(args.at):
             name, sep, value = piece.partition("=")
+            name = name.strip()
             if not sep:
                 raise InputError(f"bad --at assignment {piece!r}, expected name=value")
             if name in assignments:

@@ -136,7 +136,7 @@ class Derivation:
 
     # -- exponential ----------------------------------------------------
 
-    def exponential(self, parameter: str = "r", cap: int | None = None) -> RingMap:
+    def exponential(self, parameter: str = "r") -> RingMap:
         """The exponential ring map into ring extended by a parameter.
 
         Each variable y is sent to sum_k D^k(y)/k! * parameter^k, which
@@ -148,14 +148,8 @@ class Derivation:
         extended = Ring((parameter,) + self.ring.variables)
         embed = RingMap.from_mapping(self.ring, extended, {})
         param = extended.var(parameter)
-        if cap is None:
-            chains = self._variable_iterates
-        else:
-            chains = [
-                self.iterates(self.ring.var(name), cap) for name in self.ring.variables
-            ]
         images = []
-        for chain in chains:
+        for chain in self._variable_iterates:
             total = extended.zero()
             for k, iterate in enumerate(chain):
                 total = total + embed(iterate) * Fraction(1, factorial(k)) * param**k

@@ -3,30 +3,31 @@ package leans on: relation ideals of a list of ring elements, and
 membership tests for the subalgebra they generate.
 
 The Buchberger loop uses the normal selection strategy (lowest lcm
-degree first, ties broken by the order key of the lcm and then by pair
+degree first, ties broken by the lcm under the order and then by pair
 indices) and prunes the pair queue with the Gebauer-Moller criteria:
 coprime leading monomials, chains through a dividing lcm, and duplicate
 lcms.  Output bases are reduced and monic, hence unique for a given
 ideal and order, with generators sorted ascending by leading monomial.
 
-Internally monomials are packed into single integers (see _Packing) so
-the hot loops run on machine comparisons instead of tuple traversals,
-and coefficients are plain integers: a Polynomial enters as its integer
-numerators and leaves as integers over one denominator, every basis
-element is kept primitive (content 1, positive leading coefficient) and
-division runs fraction-free, so no Fraction is built in this module.
-Subalgebra testers against weighted-homogeneous elements grow their
-basis lazily, degree by degree, just far enough to answer each
-membership query.
+Internally monomials are packed into single integers (see _Packing),
+one 16-bit field per integer weight row of the order (see
+MonomialOrder._rows), so the hot loops run on machine comparisons
+instead of tuple traversals.  Coefficients are plain integers: a
+Polynomial enters as its integer numerators and leaves as integers over
+one denominator, every basis element is kept primitive (content 1,
+positive leading coefficient) and division runs fraction-free, so no
+Fraction is built in this module.  Subalgebra testers against
+weighted-homogeneous elements grow their basis lazily, degree by
+degree, just far enough to answer each membership query.
 
-Both derived tools adjoin one tag variable X1..Xk per element and
-eliminate the ring variables, which are ordered grlex.  The tester
-breaks ties grevlex on the tags, because the grevlex tag ideal has a
-much smaller basis and a membership answer does not depend on the order.
-relation_ideal keeps grlex on the tags, so its reduced basis stays the
-pinned one.  A representation is exact and deterministic, but when the
-elements satisfy relations it is one of several tag polynomials with the
-same value, and it may differ from the one earlier releases printed.
+Both derived tools build one ideal the same way: one tag variable
+X1..Xk per element, under a block order that eliminates the ring
+variables (grlex on them).  They differ in how they order the tags.
+relation_ideal orders them grlex, so its reduced basis stays the pinned
+one.  The tester breaks tag ties grevlex, because the grevlex tag ideal
+has a much smaller basis and a membership answer does not depend on the
+order; when the elements satisfy relations, its representation is one
+of several tag polynomials with the same value.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import ExponentOverflowError, RingMismatchError
-from .poly import Polynomial, Ring, RingMap, grlex_key
+from .poly import Polynomial, Ring, RingMap
 
 # the one coefficient type, named for tools that report it
 _Q = Fraction
@@ -46,7 +47,9 @@ _Q = Fraction
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order, realized as a sort key on exponent tuples."""
+    """A monomial order.  Every one is a list of integer weight rows
+    (Robbiano, "Term orderings on the polynomial ring", EUROCAL 1985);
+    _rows gives them and _Packing packs by them."""
 
     kind: str
     block: int | None = None
@@ -94,29 +97,33 @@ class MonomialOrder:
             return cls.elimination(int(block))
         raise ValueError(f"unknown order {name!r}")
 
-    def key(self) -> Callable[[tuple[int, ...]], tuple]:
-        if self.kind == "lex":
-            return lambda m: m
-        if self.kind == "grlex":
-            return lambda m: (sum(m), m)
-        if self.kind == "grevlex":
-            return lambda m: (sum(m), tuple(-e for e in reversed(m)))
-        if self.kind == "elim":
-            k = self.block
+    def _rows(self, n: int) -> list[tuple[int, ...]]:
+        """The order on n variables as integer weight rows, most
+        significant first: monomials compare as their row products do,
+        lexicographically.  Every variable has a unit row, its raw
+        exponent, after any other row that involves it."""
 
-            def elim_key(m: tuple[int, ...]) -> tuple:
-                head, tail = m[:k], m[k:]
-                return (sum(head), head, sum(tail), tail)
+        def ones(lo: int, hi: int) -> tuple[int, ...]:
+            return tuple(int(lo <= i < hi) for i in range(n))
 
-            return elim_key
-        if self.kind == "elim-grevlex":
-            k = self.block
+        def graded(lo: int, hi: int, reverse: bool = False) -> list[tuple[int, ...]]:
+            # the degree of the block lo..hi-1, then its exponents; for
+            # grevlex the partial sums of its exponents below m, m from
+            # hi-1 down, reproduce the reversed-negated ties
+            ties = range(hi - 1, lo, -1) if reverse else ()
+            return [
+                ones(lo, hi), *(ones(lo, m) for m in ties),
+                *(ones(j, j + 1) for j in range(lo, hi)),
+            ]
 
-            def tag_key(m: tuple[int, ...]) -> tuple:
-                head, tail = m[:k], m[k:]
-                return (sum(head), head, sum(tail), tuple(-e for e in reversed(tail)))
-
-            return tag_key
+        if self.kind == "lex":  # the exponents alone
+            return graded(0, n)[1:]
+        if self.kind in ("grlex", "grevlex"):
+            return graded(0, n, self.kind == "grevlex")
+        if self.kind in ("elim", "elim-grevlex"):
+            return graded(0, self.block) + graded(
+                self.block, n, self.kind == "elim-grevlex"
+            )
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     def __str__(self) -> str:
@@ -129,14 +136,12 @@ class MonomialOrder:
 class _Packing:
     """Order-embedded packing of exponent tuples into single integers.
 
-    Each monomial becomes one integer built from 16-bit fields, most
-    significant first: the order's sort key, written as linear
-    functionals of the exponents (degree sums, then raw exponents in key
-    position), padded with any raw exponents the key omits.  Integer
-    comparison then agrees with the monomial order, addition and
-    subtraction act exponentwise, and the spare top bit of every field
-    is a guard that turns divisibility and lcm into a couple of bitwise
-    operations.  Any field reaching 2^15 (total degree included) raises
+    Each monomial becomes one integer built from 16-bit fields, one per
+    weight row of the order, most significant first.  Integer comparison
+    then agrees with the monomial order, addition and subtraction act
+    exponentwise, and the spare top bit of every field is a guard that
+    turns divisibility and lcm into a couple of bitwise operations.  Any
+    field reaching 2^15 (total degree included) raises
     ExponentOverflowError rather than corrupting a neighbour.
     """
 
@@ -144,54 +149,18 @@ class _Packing:
     LIMIT = 1 << (WIDTH - 1)
 
     def __init__(self, order: MonomialOrder, nvars: int):
-        n = nvars
-        kind = order.kind
-        rows: list[tuple[int, ...]] = []
-        raw_at: dict[int, int] = {}
-
-        def raw(j: int) -> tuple[int, ...]:
-            raw_at[j] = len(rows)
-            return tuple(1 if i == j else 0 for i in range(n))
-
-        if kind == "lex":
-            for j in range(n):
-                rows.append(raw(j))
-        elif kind == "grlex":
-            rows.append((1,) * n)
-            for j in range(n):
-                rows.append(raw(j))
-        elif kind == "grevlex":
-            rows.append((1,) * n)
-            # partial sums e_1+..+e_m for m = n-1 .. 1: comparing them
-            # high to low reproduces the reversed-negated tie-break
-            for m in range(n - 1, 0, -1):
-                rows.append(tuple(1 if i < m else 0 for i in range(n)))
-            for j in range(n):
-                rows.append(raw(j))
-        elif kind in ("elim", "elim-grevlex"):
-            k = order.block
-            rows.append(tuple(1 if i < k else 0 for i in range(n)))
-            for j in range(k):
-                rows.append(raw(j))
-            rows.append(tuple(1 if i >= k else 0 for i in range(n)))
-            if kind == "elim-grevlex":
-                # the grevlex partial sums, restricted to the tail
-                for m in range(n - 1, k, -1):
-                    rows.append(tuple(1 if k <= i < m else 0 for i in range(n)))
-            for j in range(k, n):
-                rows.append(raw(j))
-        else:
-            raise ValueError(f"unknown order kind {kind!r}")
-
-        nfields = len(rows)
+        rows = order._rows(nvars)
         width = self.WIDTH
-        shifts = [width * (nfields - 1 - i) for i in range(nfields)]
-        self.nvars = n
+        self.shifts = tuple(width * i for i in range(len(rows) - 1, -1, -1))
+        self.nvars = nvars
         self.units = tuple(
-            sum(rows[i][j] << shifts[i] for i in range(nfields)) for j in range(n)
+            sum(row[j] << s for row, s in zip(rows, self.shifts)) for j in range(nvars)
         )
-        self.raw_shifts = tuple(shifts[raw_at[j]] for j in range(n))
-        self.guard = sum(self.LIMIT << s for s in shifts)
+        # a unit row's field holds its variable's exponent; a block sum of
+        # one variable is a unit row too, and the last one is read
+        raw = {row.index(1): s for row, s in zip(rows, self.shifts) if sum(row) == 1}
+        self.raw_shifts = tuple(raw[j] for j in range(nvars))
+        self.guard = sum(self.LIMIT << s for s in self.shifts)
         self.mask = (1 << width) - 1
 
     def pack(self, mono: tuple[int, ...]) -> int:
@@ -614,28 +583,53 @@ def ideal_equal(
 # -- relation ideals and subalgebra membership ---------------------------
 
 
-def _fresh_tag_names(ring: Ring, count: int, prefix: str | None) -> tuple[str, ...]:
-    if prefix is None:
-        prefix = "X"
-        while any(
-            name == f"{prefix}{i + 1}" for name in ring.variables for i in range(count)
-        ):
-            prefix += "X"
-    else:
-        clash = {f"{prefix}{i + 1}" for i in range(count)} & set(ring.variables)
-        if clash:
-            raise ValueError(f"tag prefix collides with ring variables: {sorted(clash)}")
+def _fresh_tag_names(ring: Ring, count: int) -> tuple[str, ...]:
+    prefix = "X"
+    while any(f"{prefix}{i + 1}" in ring.variables for i in range(count)):
+        prefix += "X"
     return tuple(f"{prefix}{i + 1}" for i in range(count))
+
+
+def _tag_ideal(
+    elements: tuple[Polynomial, ...], order: Callable[[int], MonomialOrder]
+) -> tuple[Ring, tuple[str, ...], _Packing, _Engine, bool]:
+    """The ideal of the den*g_i - den*X_i, one fresh tag X_i per element
+    g_i with denominator den, in the ring extended by the tags.
+
+    Returns the ring, the tags, the packing under order(number of ring
+    variables), the engine on the ideal and whether every element is
+    weighted homogeneous.  A tag's selection weight is the weighted
+    degree of its element.  The order eliminates the ring variables, so
+    a monomial is tag-only exactly when it packs below its head-degree
+    field, 1 << packing.shifts[0].
+    """
+    if not elements:
+        raise ValueError("at least one element required")
+    ring = _common_ring(elements)
+    tags = _fresh_tag_names(ring, len(elements))
+    n = ring.nvars
+    packing = _Packing(order(n), n + len(tags))
+    base = ring.weights or (1,) * n
+    weights = list(base)
+    homogeneous = True
+    ideal = []
+    for i, g in enumerate(elements):
+        degrees = {sum(w * e for w, e in zip(base, m)) for m in g._num}
+        homogeneous = homogeneous and len(degrees) <= 1
+        weights.append(max(degrees, default=1))
+        d, den = packing.pack_poly(g)
+        d[packing.units[n + i]] = -den
+        ideal.append(d)
+    return ring, tags, packing, _Engine(ideal, packing, weights), homogeneous
 
 
 @dataclass(frozen=True)
 class RelationIdeal:
     """All polynomial relations among a fixed list of ring elements.
 
-    generators is a reduced Groebner basis of the kernel of
-    tag_ring -> R, tag i -> element i, sorted by grlex.  relation_ideal
-    gives the basis under grlex on the tag ring;
-    SubalgebraTester.relations() gives the tester's grevlex one.
+    generators is the reduced Groebner basis, under grlex on tag_ring,
+    of the kernel of tag_ring -> R, tag i -> element i, sorted
+    ascending by leading monomial.
     """
 
     tag_ring: Ring
@@ -657,131 +651,68 @@ class SubalgebraTester:
     Builds a Groebner basis of the ideal (g_i - tag_i) in the ring
     extended by one tag per element, under a block order that eliminates
     the original variables (grlex on them) and breaks ties grevlex on
-    the tags.  The normal form of f then lands in the tag ring exactly
-    when f belongs to the subalgebra, and the remainder is a
-    representing polynomial: exact and deterministic, but when the
-    elements satisfy relations not the only one, and not always the one
-    earlier releases (grlex on the tags) gave.  basis(),
-    relation_generators() and relations() describe the grevlex tag
-    ideal.  When every element is homogeneous for the ring's weights,
-    the basis is completed lazily: each membership query extends it just
-    past the query's weighted degree, which is as far as the answer can
-    depend on.
+    the tags; relation_ideal builds the same ideal with grlex on the
+    tags, whose larger basis it pins.  The normal form of f lands in the
+    tag ring exactly when f belongs to the subalgebra, and the remainder
+    is a representing polynomial: exact and deterministic, but when the
+    elements satisfy relations not the only one.  When every element is
+    homogeneous for the ring's weights, the basis is completed lazily:
+    each membership query extends it just past the query's weighted
+    degree, which is as far as the answer can depend on.
     """
 
-    def __init__(self, elements: Sequence[Polynomial], tag_prefix: str | None = None):
-        self._setup(elements, tag_prefix, MonomialOrder._tag_elimination)
-
-    def _setup(
-        self,
-        elements: Sequence[Polynomial],
-        tag_prefix: str | None,
-        order: Callable[[int], MonomialOrder],
-    ) -> None:
-        """Build the tester under order(number of ring variables)."""
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("at least one element required")
-        ring = _common_ring(list(elements))
-        self.elements = elements
-        self.ring = ring
-        self.tags = _fresh_tag_names(ring, len(elements), tag_prefix)
-        self.tag_ring = Ring(self.tags)
-        self.extended = Ring(ring.variables + self.tags)
-        self.order = order(ring.nvars)
-        packing = _Packing(self.order, self.extended.nvars)
-        self._ring_weights = ring.weights or (1,) * ring.nvars
-        tag_weights = []
-        homogeneous = True
-        for g in elements:
-            degrees = {
-                sum(w * e for w, e in zip(self._ring_weights, m))
-                for m in g._num
-            }
-            if len(degrees) > 1:
-                homogeneous = False
-            tag_weights.append(max(degrees) if degrees else 1)
-        ideal = []
-        for i, g in enumerate(elements):
-            # g - tag, times the denominator of g
-            d, den = packing.pack_poly(g)
-            d[packing.units[ring.nvars + i]] = -den
-            ideal.append(d)
-        self._packing = packing
-        self._engine = _Engine(
-            ideal, packing, self._ring_weights + tuple(tag_weights)
+    def __init__(self, elements: Sequence[Polynomial]):
+        self.elements = tuple(elements)
+        self.ring, self.tags, self._packing, self._engine, self._lazy = _tag_ideal(
+            self.elements, MonomialOrder._tag_elimination
         )
-        self._lazy = homogeneous
+        self.tag_ring = Ring(self.tags)
         if not self._lazy:
             self._engine.complete()
-        # a zero head-degree field forces every head exponent to zero, so
-        # tag-only monomials are exactly those packing below that field
-        self._tag_bound = 1 << (packing.raw_shifts[0] + packing.WIDTH)
-        self._nvars = ring.nvars
 
     def representation(self, f: Polynomial) -> Polynomial | None:
         """A polynomial over the tags evaluating to f, or None."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lies outside the base ring")
         packing = self._packing
+        engine = self._engine
         if self._lazy and f:
-            self._engine.complete_to(
-                max(
-                    sum(w * e for w, e in zip(self._ring_weights, m))
-                    for m in f._num
-                )
+            # the ring's weights lead the engine's, one per variable of f
+            engine.complete_to(
+                max(sum(w * e for w, e in zip(engine.weights, m)) for m in f._num)
             )
-        remainder, den = self._engine.reducer.reduce(*packing.pack_poly(f))
-        bound = self._tag_bound
-        if any(p >= bound for p in remainder):
+        remainder, den = engine.reducer.reduce(*packing.pack_poly(f))
+        if remainder and max(remainder) >= 1 << packing.shifts[0]:
             return None
-        return packing.unpack_poly(self.tag_ring, remainder, self._nvars, den)
+        return packing.unpack_poly(self.tag_ring, remainder, self.ring.nvars, den)
 
     def contains(self, f: Polynomial) -> bool:
         return self.representation(f) is not None
 
-    def basis(self) -> tuple[Polynomial, ...]:
-        """The fully completed reduced Groebner basis of the tag ideal."""
-        packing = self._packing
-        return tuple(
-            packing.unpack_poly(self.extended, d, den=d[max(d)])
-            for d in self._engine.reduced()
-        )
 
-    def relation_generators(self) -> tuple[Polynomial, ...]:
-        """Reduced Groebner basis of the relations among the elements."""
-        # under the elimination order a tag-only lead means a tag-only element
-        packing = self._packing
-        bound = self._tag_bound
-        out = [
-            packing.unpack_poly(self.tag_ring, d, self._nvars, d[max(d)])
-            for d in self._engine.reduced()
-            if max(d) < bound
-        ]
-        out.sort(key=lambda p: grlex_key(p.leading_term()[0]))
-        return tuple(out)
-
-    def relations(self) -> RelationIdeal:
-        return RelationIdeal(self.tag_ring, self.tags, self.relation_generators())
-
-
-def relation_ideal(
-    elements: Sequence[Polynomial], tag_prefix: str | None = None
-) -> RelationIdeal:
+def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
     """The ideal of algebraic relations among the given elements, as its
     reduced Groebner basis under grlex on the tags."""
-    tester = SubalgebraTester.__new__(SubalgebraTester)
-    tester._setup(elements, tag_prefix, MonomialOrder.elimination)
-    return tester.relations()
+    ring, tags, packing, engine, _ = _tag_ideal(
+        tuple(elements), MonomialOrder.elimination
+    )
+    tag_ring = Ring(tags)
+    # the reduced basis ascends by lead; its tag-only elements, which
+    # the head block orders first, are the relations
+    generators = tuple(
+        packing.unpack_poly(tag_ring, d, ring.nvars, d[max(d)])
+        for d in engine.reduced()
+        if max(d) < 1 << packing.shifts[0]
+    )
+    return RelationIdeal(tag_ring, tags, generators)
 
 
 def subalgebra_membership(
-    f: Polynomial, elements: Sequence[Polynomial], tag_prefix: str | None = None
+    f: Polynomial, elements: Sequence[Polynomial]
 ) -> Polynomial | None:
     """Representation of f over the given elements, or None.
 
-    One-shot convenience around SubalgebraTester, so the representation
-    is the normal form under its grevlex tag block.  Build the tester
+    One-shot convenience around SubalgebraTester.  Build the tester
     directly when testing many elements against one list.
     """
-    return SubalgebraTester(elements, tag_prefix).representation(f)
+    return SubalgebraTester(elements).representation(f)

@@ -115,9 +115,7 @@ class Slice:
         return LaurentElement(numerator, self.loc_var, self.power)
 
 
-def slice_kernel_generators(
-    slc: Slice, cap: int | None = None
-) -> tuple[LaurentElement, ...]:
+def slice_kernel_generators(slc: Slice) -> tuple[LaurentElement, ...]:
     """Images of the ring variables under the slice projection.
 
     These generate the kernel of the derivation over the localized ring;
@@ -128,9 +126,9 @@ def slice_kernel_generators(
     ring = derivation.ring
     sigma = slc.sigma()
     out = []
-    for name in ring.variables:
+    for chain in derivation._variable_iterates:
         total = LaurentElement(ring.zero(), slc.loc_var, 0)
-        for k, iterate in enumerate(derivation.iterates(ring.var(name), cap)):
+        for k, iterate in enumerate(chain):
             scale = Fraction((-1) ** k, factorial(k))
             total = total + sigma**k * iterate * scale
         out.append(total)
@@ -304,11 +302,11 @@ class KernelComputeResult:
     outcomes: tuple[KernelCheckOutcome, ...]
 
 
-def seed_candidates(slc: Slice, cap: int | None = None) -> tuple[Polynomial, ...]:
+def seed_candidates(slc: Slice) -> tuple[Polynomial, ...]:
     """Initial kernel candidates: the numerators of the localized
     generators, made primitive, constants dropped."""
     seeds = []
-    for gen in slice_kernel_generators(slc, cap):
+    for gen in slice_kernel_generators(slc):
         if gen.is_zero() or gen.numerator.is_constant():
             continue
         p = gen.numerator.primitive()

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import poly as _poly
 from .errors import ExponentOverflowError, ParseError
-from .poly import Polynomial, Ring
+from .poly import EXPONENT_CAP, Polynomial, Ring
 
 _SYMBOLS = set("+-*^/()")
 
@@ -103,7 +102,6 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.ring = ring
-        self.cap = _poly.EXPONENT_CAP
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -153,14 +151,14 @@ class _Parser:
             self.take()
             digits = self.expect("num").text.lstrip("0") or "0"
             # count digits first: int() refuses very long literals
-            if len(digits) > len(str(self.cap)):
+            if len(digits) > len(str(EXPONENT_CAP)):
                 raise ExponentOverflowError(
-                    f"exponent of {len(digits)} digits exceeds cap {self.cap}"
+                    f"exponent of {len(digits)} digits exceeds cap {EXPONENT_CAP}"
                 )
             exponent = int(digits)
-            if exponent > self.cap:
+            if exponent > EXPONENT_CAP:
                 raise ExponentOverflowError(
-                    f"exponent {exponent} exceeds cap {self.cap}"
+                    f"exponent {exponent} exceeds cap {EXPONENT_CAP}"
                 )
             value = value**exponent
         return value
@@ -197,11 +195,16 @@ class _Parser:
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     """Parse text into a polynomial of the given ring.
 
-    Raises ParseError on grammar violations (the error carries the
-    0-based character position) and ExponentOverflowError when a literal
-    exponent exceeds poly.EXPONENT_CAP.
+    Raises ParseError on grammar violations and on nesting deeper than
+    the interpreter's recursion limit allows (the error carries the
+    0-based character position), and ExponentOverflowError when a
+    literal exponent exceeds poly.EXPONENT_CAP.
     """
-    return _Parser(_tokenize(text), ring).parse()
+    parser = _Parser(_tokenize(text), ring)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
 
 
 def _term_text(mono: tuple[int, ...], magnitude: Fraction, variables: tuple[str, ...]) -> str:

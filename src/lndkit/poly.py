@@ -33,7 +33,7 @@ Monomial = tuple  # exponent tuple, one entry per ring variable
 Scalar = Union[int, Fraction]
 
 # Safety rail: any single exponent above this aborts the computation
-# instead of silently chewing memory.  Mutable on purpose.
+# instead of silently chewing memory.
 EXPONENT_CAP = 2**16
 
 

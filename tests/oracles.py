@@ -11,6 +11,10 @@ weighted-homogeneous elements by linear algebra alone: the algebra is
 graded, so f is a member exactly when each homogeneous component of f
 is a linear combination of the products of the elements of its degree.
 
+order_key is the textbook definition of each monomial order as a sort
+key on exponent tuples, written independently of the weight rows that
+lndkit packs monomials by.
+
 The term-dict oracles (naive_evaluate, naive_multiply, naive_apply,
 naive_orbit_point) redo polynomial arithmetic on plain
 {exponent tuple: Fraction} dicts, one Fraction operation per term, with
@@ -22,6 +26,24 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from lndkit import Polynomial, Ring
+
+
+def order_key(order):
+    """Sort key on exponent tuples realizing the order (ascending)."""
+    k = order.block
+    if order.kind == "lex":
+        return lambda m: m
+    if order.kind == "grlex":
+        return lambda m: (sum(m), m)
+    if order.kind == "grevlex":
+        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
+    if order.kind == "elim":
+        return lambda m: (sum(m[:k]), m[:k], sum(m[k:]), m[k:])
+    if order.kind == "elim-grevlex":
+        return lambda m: (
+            sum(m[:k]), m[:k], sum(m[k:]), tuple(-e for e in reversed(m[k:]))
+        )
+    raise ValueError(f"unknown order kind {order.kind!r}")
 
 
 def tag_monomials(count: int, max_degree: int) -> list[tuple[int, ...]]:

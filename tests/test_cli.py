@@ -39,6 +39,11 @@ def test_eval_at_point(capsys):
     assert out(capsys) == "1"
     assert run(["eval", "x + v", "--at", "v=1/2"]) == 0
     assert out(capsys) == "1/2"
+    # spaces around a name are ignored, as around a value
+    assert run(["eval", "x", "--at", "x = 1"]) == 0
+    assert out(capsys) == "1"
+    assert run(["eval", "x - 2*v", "--at", " x =1, v= 1/2"]) == 0
+    assert out(capsys) == "0"
 
 
 def long_decimal(n):
@@ -364,6 +369,8 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         ["kernel-compute", "--division-bound", "-1"],
         ["kernel-compute", "--division-bound", "many"],
         ["eval", "x", "--ring", "x", "--weights", "one"],
+        ["eval", "(" * 250 + "x" + ")" * 250],
+        ["eval", "(" * 5000 + "x" + ")" * 5000],
     ],
     ids=[
         "parameter-zero-denominator",
@@ -378,6 +385,8 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         "kernel-compute-negative-bound",
         "kernel-compute-bad-bound",
         "weights-not-integers",
+        "nesting-250-deep",
+        "nesting-5000-deep",
     ],
 )
 def test_bad_arguments_exit_2(argv, capsys):

@@ -1,6 +1,7 @@
 """Derivations: Leibniz rule, nilpotency bookkeeping, exponential flows."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,6 @@ from lndkit import (
     intertwines,
     parse_polynomial,
 )
-from lndkit.derivation import NILPOTENCY_CAP
 
 R2 = Ring(("x", "y"))
 X, Y = R2.var("x"), R2.var("y")
@@ -72,6 +72,25 @@ def uncached_orbit_point(derivation, value, point):
         derivation.translate(ring.var(v), value).evaluate(point)
         for v in ring.variables
     ))
+
+
+def uncached_exponential(derivation, parameter):
+    """The images of exponential(parameter), each chain of iterates
+    derived anew through iterates."""
+    ring = derivation.ring
+    extended = Ring((parameter,) + ring.variables)
+    embed = RingMap.from_mapping(ring, extended, {})
+    r = extended.var(parameter)
+    return tuple(
+        sum(
+            (
+                embed(iterate) * Fraction(1, factorial(k)) * r**k
+                for k, iterate in enumerate(derivation.iterates(ring.var(v)))
+            ),
+            extended.zero(),
+        )
+        for v in ring.variables
+    )
 
 
 def naive_orbit_point(derivation, value, point):
@@ -236,12 +255,10 @@ def test_iterate_cache_matches_uncached(context):
                 expected = uncached_orbit_point(fresh, value, point)
                 assert derivation.orbit_point(value, point) == expected
                 assert naive_orbit_point(fresh, value, point) == expected
-        uncached = fresh.exponential("r", cap=NILPOTENCY_CAP)
+        uncached = uncached_exponential(fresh, "r")
         for _ in range(2):
-            assert derivation.exponential("r").images == uncached.images
-        assert derivation.exponential("q").images == fresh.exponential(
-            "q", cap=NILPOTENCY_CAP
-        ).images
+            assert derivation.exponential("r").images == uncached
+        assert derivation.exponential("q").images == uncached_exponential(fresh, "q")
 
 
 def test_iterate_cache_is_filled_once(monkeypatch):
@@ -257,8 +274,6 @@ def test_iterate_cache_is_filled_once(monkeypatch):
     assert derivation.orbit_point(2, point) == first
     derivation.exponential()
     assert len(calls) == 6
-    derivation.exponential(cap=5)
-    assert len(calls) == 12
 
 
 def test_iterate_cache_keeps_equality_and_hash():
@@ -279,8 +294,6 @@ def test_non_nilpotent_derivation_still_raises():
             EULER.orbit_point(1, point)
         with pytest.raises(NilpotencyCapError):
             EULER.exponential()
-    with pytest.raises(NilpotencyCapError):
-        EULER.exponential(cap=4)
     assert EULER == Derivation.from_mapping(R2, {"x": X, "y": Y})
 
 

@@ -101,6 +101,17 @@ def test_error_positions(text, position):
     assert f"position {position}" in str(info.value)
 
 
+@pytest.mark.parametrize("depth", [250, 5000])
+def test_deep_nesting_is_a_parse_error(depth):
+    # nesting past the interpreter's recursion limit is refused by name,
+    # not with RecursionError; shallower nesting still parses
+    text = "(" * depth + "x" + ")" * depth
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert 0 < info.value.position < depth
+    assert parse("(" * 100 + "x" + ")" * 100) == R2.var("x")
+
+
 def test_exponent_cap():
     with pytest.raises(ExponentOverflowError):
         parse("x^70000")

@@ -1,11 +1,15 @@
-"""The README's command-line examples, run through cli.run.
+"""The README's examples: the command lines, run through cli.run, and
+the library sketch, run statement by statement.
 
 In the README's sh blocks, a trailing comment on an `lndkit ...` line is
 the first line the command prints, followed by `(exit N)` when the exit
 code is shown; a comment on a line of its own is prose.  The example
 that reads `my-derivation.json` gets the README's JSON in that file.
+In the python block, a trailing comment on an expression statement is
+the str() of its value; on any other statement it is prose.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -38,3 +42,20 @@ def test_readme_example(command, first_line, code, tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     assert run(shlex.split(command)) == code
     assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+def test_library_sketch_values():
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        source = ast.get_source_segment(block, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = eval(source, namespace)
+        comment = lines[statement.end_lineno - 1].partition("# ")[2]
+        assert str(value) == comment, source
+        checked += 1
+    assert checked == 2
