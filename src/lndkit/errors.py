@@ -51,10 +51,6 @@ class NotDivisibleError(LndError):
         self.witness = witness
 
 
-class MixedDenominatorError(LndError):
-    """Arithmetic attempted between localizations at different variables."""
-
-
 class ParseError(LndError):
     """Input text violates the polynomial grammar.
 

@@ -49,10 +49,23 @@ _Q = Fraction
 class MonomialOrder:
     """A monomial order.  Every one is a list of integer weight rows
     (Robbiano, "Term orderings on the polynomial ring", EUROCAL 1985);
-    _rows gives them and _Packing packs by them."""
+    _rows gives them and _Packing packs by them.  The fields are
+    checked at construction: kind is one of the five below, and block is
+    a nonnegative int for the elimination kinds and None otherwise."""
 
     kind: str
     block: int | None = None
+
+    def __post_init__(self):
+        if self.kind in ("lex", "grlex", "grevlex"):
+            if self.block is not None:
+                raise ValueError(f"order {self.kind} takes no block size")
+        elif self.kind in ("elim", "elim-grevlex"):
+            block = self.block
+            if not isinstance(block, int) or isinstance(block, bool) or block < 0:
+                raise ValueError("block size must be a nonnegative int")
+        else:
+            raise ValueError(f"unknown order kind {self.kind!r}")
 
     @classmethod
     def lex(cls) -> "MonomialOrder":
@@ -74,8 +87,6 @@ class MonomialOrder:
         grlex on the rest, so anything involving a block variable beats
         everything that avoids them.
         """
-        if block < 0:
-            raise ValueError("block size must be nonnegative")
         return cls("elim", block)
 
     @classmethod
@@ -120,11 +131,9 @@ class MonomialOrder:
             return graded(0, n)[1:]
         if self.kind in ("grlex", "grevlex"):
             return graded(0, n, self.kind == "grevlex")
-        if self.kind in ("elim", "elim-grevlex"):
-            return graded(0, self.block) + graded(
-                self.block, n, self.kind == "elim-grevlex"
-            )
-        raise ValueError(f"unknown order kind {self.kind!r}")
+        return graded(0, self.block) + graded(
+            self.block, n, self.kind == "elim-grevlex"
+        )
 
     def __str__(self) -> str:
         return self.kind if self.block is None else f"{self.kind}:{self.block}"

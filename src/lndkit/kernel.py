@@ -7,7 +7,10 @@ slice for D after inverting loc, and
     pi(g) = sum_k (-sigma)**k D**k(g) / k!
 
 projects the localized ring onto the localized kernel.  That gives exact
-generators of the localized kernel (slice_kernel_generators).  To pass
+generators of the localized kernel (slice_kernel_generators).  Over the
+common denominator loc**(p*K), K the last nonzero iterate, pi(g) is one
+polynomial numerator, built by Horner's rule in loc**p from the cached
+iterates of g; no localized arithmetic is needed.  To pass
 from the localized kernel to the honest one, kernel_check runs the
 reduce-and-divide loop: compute the relations of the candidate
 generators modulo loc, substitute the candidates back into each
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 from .derivation import Derivation
@@ -41,7 +43,9 @@ DIVISION_BOUND = 16
 class Slice:
     """A slice datum: D(var) = coefficient * loc_var**power, D(loc_var) = 0.
 
-    After inverting loc_var, sigma() maps to 1 under the derivation.
+    Checked once, at construction, so every Slice is a valid one: after
+    inverting loc_var, var / (coefficient * loc_var**power) maps to 1
+    under the derivation.
     """
 
     derivation: Derivation
@@ -52,10 +56,23 @@ class Slice:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        ring = self.derivation.ring
+        ring.index(self.var)
+        if not self.derivation.image(self.loc_var).is_zero():
+            raise SliceError(f"localized variable {self.loc_var} is not invariant")
+        if self.coefficient == 0:
+            raise SliceError("slice coefficient must be nonzero")
+        expected = ring.var(self.loc_var) ** self.power * self.coefficient
+        if self.derivation.image(self.var) != expected:
+            raise SliceError(
+                f"image of {self.var} is not {self.coefficient} * "
+                f"{self.loc_var}^{self.power}"
+            )
 
     @classmethod
     def of(cls, derivation: Derivation, var: str, loc_var: str) -> "Slice":
-        """Read the coefficient and power off the image of var."""
+        """Read the coefficient and power off the single-term image of
+        var; construction checks that the image is exactly that term."""
         image = derivation.image(var)
         terms = image.term_dict()
         if len(terms) != 1:
@@ -63,14 +80,8 @@ class Slice:
                 f"image of {var} is not a monomial in {loc_var}: {image}"
             )
         ((mono, coeff),) = terms.items()
-        li = derivation.ring.index(loc_var)
-        if any(e for i, e in enumerate(mono) if i != li):
-            raise SliceError(
-                f"image of {var} involves variables besides {loc_var}: {image}"
-            )
-        slc = cls(derivation, var, loc_var, coeff, mono[li])
-        slc.validate()
-        return slc
+        power = mono[derivation.ring.index(loc_var)]
+        return cls(derivation, var, loc_var, coeff, power)
 
     @classmethod
     def infer(cls, derivation: Derivation, loc_var: str | None = None) -> "Slice":
@@ -95,43 +106,27 @@ class Slice:
                     continue
         raise SliceError("no slice variable found")
 
-    def validate(self) -> None:
-        ring = self.derivation.ring
-        ring.index(self.var)
-        if not self.derivation.image(self.loc_var).is_zero():
-            raise SliceError(f"localized variable {self.loc_var} is not invariant")
-        if self.coefficient == 0:
-            raise SliceError("slice coefficient must be nonzero")
-        expected = ring.var(self.loc_var) ** self.power * self.coefficient
-        if self.derivation.image(self.var) != expected:
-            raise SliceError(
-                f"image of {self.var} is not {self.coefficient} * "
-                f"{self.loc_var}^{self.power}"
-            )
-
-    def sigma(self) -> LaurentElement:
-        ring = self.derivation.ring
-        numerator = ring.var(self.var) * (1 / self.coefficient)
-        return LaurentElement(numerator, self.loc_var, self.power)
-
 
 def slice_kernel_generators(slc: Slice) -> tuple[LaurentElement, ...]:
     """Images of the ring variables under the slice projection.
 
     These generate the kernel of the derivation over the localized ring;
-    the entry for the slice variable itself is zero.
+    the entry for the slice variable itself is zero.  With D(y) =
+    c * loc**p and K the last nonzero iterate of g, pi(g) is the
+    numerator N_K over loc**(p*K), where N_0 = g and
+    N_k = N_(k-1) * loc**p + D**k(g) * (-y/c)**k / k!.
     """
-    slc.validate()
-    derivation = slc.derivation
-    ring = derivation.ring
-    sigma = slc.sigma()
+    ring = slc.derivation.ring
+    lift = ring.var(slc.loc_var) ** slc.power
+    step = ring.var(slc.var) * (-1 / slc.coefficient)
     out = []
-    for chain in derivation._variable_iterates:
-        total = LaurentElement(ring.zero(), slc.loc_var, 0)
-        for k, iterate in enumerate(chain):
-            scale = Fraction((-1) ** k, factorial(k))
-            total = total + sigma**k * iterate * scale
-        out.append(total)
+    for chain in slc.derivation._variable_iterates:
+        numerator = chain[0]
+        weight = ring.one()  # (-y/c)**k / k!
+        for k, iterate in enumerate(chain[1:], start=1):
+            weight = weight * step * Fraction(1, k)
+            numerator = numerator * lift + iterate * weight
+        out.append(LaurentElement(numerator, slc.loc_var, slc.power * (len(chain) - 1)))
     return tuple(out)
 
 
@@ -202,7 +197,6 @@ def kernel_check(
         slc = Slice.infer(derivation)
     if slc.derivation != derivation:
         raise ValueError("slice belongs to a different derivation")
-    slc.validate()
     ring = derivation.ring
     loc_poly = ring.var(slc.loc_var)
 

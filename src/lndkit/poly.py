@@ -9,7 +9,8 @@ lexicographic, descending.
 
 Also provided: ring homomorphisms given by variable images (RingMap),
 rational points (Point), and elements of the localization at a single
-variable (LaurentElement).
+variable (LaurentElement), each a normalized polynomial numerator over
+a power of that variable, with no arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Iterable, Iterator, Mapping, Union
 from .errors import (
     ExponentOverflowError,
     GradingError,
-    MixedDenominatorError,
     NotDivisibleError,
     RingMismatchError,
     UnknownVariableError,
@@ -563,10 +563,14 @@ class RingMap:
 
 
 class LaurentElement:
-    """Element of the localization of a ring at one variable.
+    """Element of the localization of a ring at one variable: a
+    polynomial numerator over a power of that variable.
 
     Stored as numerator / denom_var**denom_power and kept normalized:
     either denom_power is 0, or denom_var does not divide the numerator.
+    Over a canonical Polynomial this is a canonical form: equal
+    elements have equal numerators and denominator powers.  It is a
+    value only; it has no arithmetic.
     """
 
     __slots__ = ("numerator", "denom_var", "denom_power")
@@ -603,89 +607,11 @@ class LaurentElement:
             )
         return self.numerator
 
-    def _align(self, other: "LaurentElement") -> tuple[Polynomial, Polynomial, str, int]:
-        if self.ring != other.ring:
-            raise RingMismatchError("localizations over different rings")
-        var = self._common_var(other)
-        p = max(self.denom_power, other.denom_power)
-        a = self.numerator
-        b = other.numerator
-        if p > self.denom_power:
-            a = a * a.ring.var(var) ** (p - self.denom_power)
-        if p > other.denom_power:
-            b = b * b.ring.var(var) ** (p - other.denom_power)
-        return a, b, var, p
-
-    def _common_var(self, other: "LaurentElement") -> str:
-        if self.denom_power and other.denom_power:
-            if self.denom_var != other.denom_var:
-                raise MixedDenominatorError(
-                    f"denominators {self.denom_var} and {other.denom_var} differ"
-                )
-            return self.denom_var
-        return self.denom_var if self.denom_power else other.denom_var
-
-    def _coerce(self, other) -> "LaurentElement | None":
-        if isinstance(other, LaurentElement):
-            return other
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise RingMismatchError("localizations over different rings")
-            return LaurentElement(other, self.denom_var, 0)
-        if isinstance(other, (int, Fraction)):
-            return LaurentElement(self.ring.const(other), self.denom_var, 0)
-        return None
-
-    def __add__(self, other) -> "LaurentElement":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b, var, p = self._align(other)
-        return LaurentElement(a + b, var, p)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentElement":
-        return LaurentElement(-self.numerator, self.denom_var, self.denom_power)
-
-    def __sub__(self, other) -> "LaurentElement":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentElement":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "LaurentElement":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        var = self._common_var(other)
-        return LaurentElement(
-            self.numerator * other.numerator,
-            var,
-            self.denom_power + other.denom_power,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative ints")
-        return LaurentElement(
-            self.numerator**n, self.denom_var, self.denom_power * n
-        )
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (Polynomial, int, Fraction)):
+            return not self.denom_power and self.numerator == other
+        if not isinstance(other, LaurentElement):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
         if self.denom_power != other.denom_power:
             return False
         if self.denom_power and self.denom_var != other.denom_var:

@@ -16,9 +16,12 @@ key on exponent tuples, written independently of the weight rows that
 lndkit packs monomials by.
 
 The term-dict oracles (naive_evaluate, naive_multiply, naive_apply,
-naive_orbit_point) redo polynomial arithmetic on plain
+naive_orbit_point, naive_projection) redo polynomial arithmetic on plain
 {exponent tuple: Fraction} dicts, one Fraction operation per term, with
 no code from lndkit.poly: they check its integer fast paths.
+naive_projection sums the slice projection term by term with negative
+exponents allowed, so it shares nothing with the single-numerator form
+that lndkit builds.
 """
 
 from fractions import Fraction
@@ -262,3 +265,33 @@ def naive_orbit_point(images: list, value, coords, cap: int = 64) -> tuple:
             k += 1
         out.append(total)
     return tuple(out)
+
+
+def naive_projection(
+    images: list, index: int, slice_index: int, loc_index: int, coefficient,
+    power: int, cap: int = 64,
+) -> dict:
+    """The slice projection of variable `index`, D given by variable
+    images with D(x_slice) = coefficient * x_loc**power:
+    sum_k (-1)^k/k! * sigma^k * D^k(x_index), sigma = x_slice /
+    (coefficient * x_loc**power), as a term dict whose exponent of x_loc
+    may be negative."""
+    n = len(images)
+    one = (0,) * n
+    sigma_mono = [0] * n
+    sigma_mono[slice_index] += 1
+    sigma_mono[loc_index] -= power
+    sigma = {tuple(sigma_mono): 1 / Fraction(coefficient)}
+    f = {tuple(int(j == index) for j in range(n)): Fraction(1)}
+    sigma_k = {one: Fraction(1)}
+    total: dict = {}
+    k = 0
+    while f:
+        if k >= cap:
+            raise ValueError("derivation is not nilpotent on the variable")
+        scale = {one: Fraction((-1) ** k, factorial(k))}
+        total = _naive_add(total, naive_multiply(naive_multiply(sigma_k, f), scale))
+        f = naive_apply(images, f)
+        sigma_k = naive_multiply(sigma_k, sigma)
+        k += 1
+    return total

@@ -7,7 +7,7 @@ import sys
 from argparse import Namespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lndkit import InputError, LndError, cli
 from lndkit.cli import run
@@ -506,3 +506,52 @@ def test_malformed_derivation_json_exits_2(tmp_path_factory, data):
     code, stderr = _run_with_derivation_file(path, data)
     assert code == 2
     assert_one_error_line(stderr)
+
+
+# -- random argv ----------------------------------------------------------------
+
+# kernel-compute is left out: its default five rounds on builtin:D reach
+# the fourth reference round, which runs for many minutes
+_COMMANDS = [
+    "eval", "derive", "exp", "act", "invariant", "groebner", "relations",
+    "member", "kernel-check", "paper",
+]
+_FLAGS = [
+    "--format", "--ring", "--weights", "--derivation", "--at", "--times",
+    "--parameter", "--point", "--order", "--loc", "--slice-var",
+    "--division-bound", "--seed", "--samples",
+]
+_WORDS = ["verify", "random", "--ideal", "--help"]
+_VALUES = [
+    "json", "x", "s", "x*v - s", "s^2", "x,s,t,u,v", "1,3,3,3,2", "x=1",
+    "1/2", "-1", "0", "2", "lex", "elim:1", "builtin:D", "builtin:Delta",
+    "builtin:DeltaPrime",
+    # malformed
+    "x,,y", "x=1/0", "elim:", "(x", "x^", "x=", "", "builtin:Q",
+    "/nonexistent.json",
+]
+_token = st.sampled_from(_COMMANDS + _FLAGS + _WORDS + _VALUES)
+# half the draws lead with a subcommand and a value and pair flags with
+# values, so that more of them get past argument parsing into the handlers
+_piece = (
+    st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
+    | st.tuples(st.sampled_from(_WORDS + _VALUES))
+)
+_argv = st.lists(_token, max_size=6) | st.builds(
+    lambda command, value, pieces: [
+        command, value, *(t for piece in pieces for t in piece)
+    ][:6],
+    st.sampled_from(_COMMANDS),
+    st.sampled_from(_WORDS + _VALUES),
+    st.lists(_piece, max_size=3),
+)
+
+
+@settings(max_examples=200)
+@given(_argv)
+def test_random_argv_exits_cleanly(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

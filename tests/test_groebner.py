@@ -66,13 +66,32 @@ def _random_poly(rng, ring, max_terms=3, max_exp=3, bound=5):
 
 
 def test_order_names():
-    for order in ORDERS:
+    named = ORDERS[:3] + [MonomialOrder.elimination(k) for k in range(4)]
+    for order in named:
         assert MonomialOrder.from_name(str(order)) == order
     with pytest.raises(ValueError):
         MonomialOrder.from_name("degrevlex")
     with pytest.raises(ValueError):
         MonomialOrder.elimination(-1)
     assert str(MonomialOrder.elimination(2)) == "elim:2"
+
+
+@pytest.mark.parametrize(
+    "kind, block",
+    [
+        ("elim", None),
+        ("elim-grevlex", None),
+        ("elim", -1),
+        ("elim", True),
+        ("elim", 1.0),
+        ("lex", 3),
+        ("grevlex", 0),
+        ("degrevlex", None),
+    ],
+)
+def test_order_fields_are_checked(kind, block):
+    with pytest.raises(ValueError):
+        MonomialOrder(kind, block)
 
 
 def test_grlex_vs_grevlex():

@@ -5,12 +5,15 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from lndkit import (
     Derivation,
     KernelStatus,
     LaurentElement,
     NonInvariantCandidateError,
+    Polynomial,
     Ring,
     Slice,
     SliceError,
@@ -47,13 +50,14 @@ def test_slice_of_rejects_bad_images(context):
 def test_slice_validate(context):
     D = context.derivation
     with pytest.raises(SliceError):
-        Slice(D, "t", "s", 1, 1).validate()  # s is not invariant
+        Slice(D, "t", "s", 1, 1)  # s is not invariant
     with pytest.raises(SliceError):
-        Slice(D, "s", "x", 0, 3).validate()  # zero coefficient
+        Slice(D, "s", "x", 0, 3)  # zero coefficient
     with pytest.raises(SliceError):
-        Slice(D, "s", "x", 1, 2).validate()  # wrong power
+        Slice(D, "s", "x", 1, 2)  # wrong power
     with pytest.raises(SliceError):
-        Slice(D, "s", "x", 2, 3).validate()  # wrong coefficient
+        Slice(D, "s", "x", 2, 3)  # wrong coefficient
+    assert Slice(D, "s", "x", 1, 3) == context.kernel_slice
 
 
 def test_slice_infer(context):
@@ -65,13 +69,16 @@ def test_slice_infer(context):
         Slice.infer(swap)
 
 
+def sigma(slc):
+    """The slice var / (coefficient * loc_var**power) of a Slice."""
+    numerator = slc.derivation.ring.var(slc.var) * (1 / slc.coefficient)
+    return LaurentElement(numerator, slc.loc_var, slc.power)
+
+
 def test_sigma(context):
-    ring = context.ring
-    sigma = context.kernel_slice.sigma()
-    assert sigma == LaurentElement(ring.var("s"), "x", 3)
     # the defining property: D(sigma) = 1 in the localization
-    assert context.derivation.apply_laurent(sigma) == 1
-    qsigma = context.quotient_slice.sigma()
+    assert context.derivation.apply_laurent(sigma(context.kernel_slice)) == 1
+    qsigma = sigma(context.quotient_slice)
     assert context.quotient_derivation.apply_laurent(qsigma) == 1
 
 
@@ -79,11 +86,8 @@ def test_sigma_with_coefficient():
     ring = Ring(("x", "y"))
     d = Derivation.from_mapping(ring, {"y": 4 * ring.var("x") ** 2})
     slc = Slice.of(d, "y", "x")
-    assert slc.coefficient == 4
-    assert slc.sigma() == LaurentElement(
-        ring.var("y") * Fraction(1, 4), "x", 2
-    )
-    assert d.apply_laurent(slc.sigma()) == 1
+    assert (slc.coefficient, slc.power) == (4, 2)
+    assert d.apply_laurent(sigma(slc)) == 1
 
 
 # -- localized generators ------------------------------------------------------
@@ -113,6 +117,43 @@ def test_slice_kernel_generators_main(context):
     assert got[2] == LaurentElement(f[1] * Fraction(1, 2), "x", 3)
     assert got[3] == LaurentElement(f[2] * Fraction(1, 3), "x", 6)
     assert got[4] == LaurentElement(f[3], "x", 1)
+
+
+R4 = Ring(("x", "s", "y", "z"))
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def sliced_derivations(draw):
+    """D(x) = 0, D(s) = c*x^p, D(y) in Q[x, s], D(z) in Q[x, s, y]."""
+
+    def image(nvars_used):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            used = [draw(st.integers(0, 2)) for _ in range(nvars_used)]
+            terms[tuple(used + [0] * (4 - nvars_used))] = draw(small_fractions)
+        return Polynomial(R4, terms)
+
+    c = draw(small_fractions.filter(bool))
+    p = draw(st.integers(0, 3))
+    return Derivation(R4, (R4.zero(), R4.monomial((p, 0, 0, 0), c), image(2), image(3)))
+
+
+@given(sliced_derivations())
+def test_projection_matches_naive_sum(derivation):
+    slc = Slice.of(derivation, "s", "x")
+    images = [g.term_dict() for g in derivation.images]
+    got = slice_kernel_generators(slc)
+    assert len(got) == R4.nvars
+    for i, gen in enumerate(got):
+        # numerator / x^k as a term dict with the exponent of x lowered by k
+        terms = {
+            (m[0] - gen.denom_power,) + m[1:]: c
+            for m, c in gen.numerator.term_dict().items()
+        }
+        assert terms == oracles.naive_projection(
+            images, i, 1, 0, slc.coefficient, slc.power
+        )
 
 
 def test_seed_candidates(context):
