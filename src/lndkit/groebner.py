@@ -112,7 +112,12 @@ class MonomialOrder:
         """The order on n variables as integer weight rows, most
         significant first: monomials compare as their row products do,
         lexicographically.  Every variable has a unit row, its raw
-        exponent, after any other row that involves it."""
+        exponent, after any other row that involves it.  An elimination
+        block larger than n raises ValueError."""
+        if self.block is not None and self.block > n:
+            raise ValueError(
+                f"order {self} eliminates {self.block} variables but the ring has {n}"
+            )
 
         def ones(lo: int, hi: int) -> tuple[int, ...]:
             return tuple(int(lo <= i < hi) for i in range(n))
@@ -249,39 +254,55 @@ class _Reducer:
     """Fraction-free multivariate division against a growable list of
     basis entries.
 
-    Keeps a first-divisor cache keyed by leading monomial.  Entries only
-    ever get appended and divisors are scanned in list order, so a cached
-    hit stays the first divisor forever; cached misses remember how far
-    they scanned and resume from there once the list has grown.
+    find looks divisors up in an index keyed by the support of a lead:
+    the set of its nonzero packed fields, marked by their guard bits.
+    Each support seen maps to the indexes of the entries whose own
+    support is a subset of it, in list order.  Entries only ever get
+    appended, so the lists are extended as the entry list grows, and a
+    scan of one returns the same first divisor as a scan of the whole
+    list.
     """
 
-    __slots__ = ("entries", "guard", "_cache")
+    __slots__ = ("entries", "guard", "_low", "_supports", "_index")
 
     def __init__(self, entries: list, guard: int):
         self.entries = entries
         self.guard = guard
-        self._cache: dict = {}
+        # adding 2^15 - 1 to a field below 2^15 sets its guard bit
+        # exactly when the field is nonzero
+        self._low = guard - (guard >> (_Packing.WIDTH - 1))
+        self._supports: list[int] = []
+        self._index: dict[int, list[int]] = {}
 
     def find(self, lead: int) -> int:
+        """The index of the first entry whose lead divides lead, or -1."""
         entries = self.entries
-        n = len(entries)
-        hit = self._cache.get(lead)
-        if hit is not None:
-            if hit[0] >= 0 or hit[1] == n:
-                return hit[0]
-            start = hit[1]
-        else:
-            start = 0
         guard = self.guard
+        low = self._low
+        index = self._index
+        supports = self._supports
+        if len(supports) < len(entries):
+            for k in range(len(supports), len(entries)):
+                sk = (entries[k][0] + low) & guard
+                supports.append(sk)
+                for key, indexes in index.items():
+                    if sk | key == key:
+                        indexes.append(k)
+        key = (lead + low) & guard
+        indexes = index.get(key)
+        if indexes is None:
+            indexes = index[key] = [
+                k for k, sk in enumerate(supports) if sk | key == key
+            ]
         raised = lead | guard
-        for k in range(start, n):
+        for k in indexes:
             if (raised - entries[k][0]) & guard == guard:
-                self._cache[lead] = (k, n)
                 return k
-        self._cache[lead] = (-1, n)
         return -1
 
-    def reduce(self, f: dict, den: int = 1) -> tuple[dict, int]:
+    def reduce(
+        self, f: dict, den: int = 1, stop: int | None = None
+    ) -> tuple[dict, int]:
         """Full normal form of f/den as (R, den'), meaning R/den'.
 
         f and R have integer coefficients, the denominators are positive
@@ -290,7 +311,10 @@ class _Reducer:
         lc/gcd(lc, c).
         Tracks the current leading term with a lazy max-heap: every
         monomial of f has at least one heap entry, stale entries are
-        skipped on pop.
+        skipped on pop.  Terms leave the heap in descending order, so
+        with stop given the call returns at the first irreducible term
+        at or above stop: R/den' is then that term alone, the leading
+        term of the normal form.
         """
         f = dict(f)
         remainder: dict = {}
@@ -308,6 +332,8 @@ class _Reducer:
             k = find(lead)
             if k < 0:
                 remainder[lead] = coeff
+                if stop is not None and lead >= stop:
+                    break
                 continue
             lm, lc, tail = entries[k]
             shift = lead - lm
@@ -599,18 +625,32 @@ def _fresh_tag_names(ring: Ring, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
+def _moved(d: dict, moves: tuple[tuple[int, int], ...], mask: int) -> dict:
+    """The packed dict d with each move (shift, delta) applied: a
+    monomial whose field at shift holds e gains e*delta."""
+    for shift, delta in moves:
+        d = {p + ((p >> shift) & mask) * delta: c for p, c in d.items()}
+    return d
+
+
 def _tag_ideal(
     elements: tuple[Polynomial, ...], order: Callable[[int], MonomialOrder]
-) -> tuple[Ring, tuple[str, ...], _Packing, _Engine, bool]:
+) -> tuple[Ring, tuple[str, ...], _Packing, _Engine, bool, tuple]:
     """The ideal of the den*g_i - den*X_i, one fresh tag X_i per element
     g_i with denominator den, in the ring extended by the tags.
 
-    Returns the ring, the tags, the packing under order(number of ring
-    variables), the engine on the ideal and whether every element is
-    weighted homogeneous.  A tag's selection weight is the weighted
-    degree of its element.  The order eliminates the ring variables, so
-    a monomial is tag-only exactly when it packs below its head-degree
-    field, 1 << packing.shifts[0].
+    When g_i is a ring variable y itself, y - X_i is kept as it is and
+    every other generator reads X_i for y: the ideal is the same, so its
+    reduced basis and every normal form are too, but no reduction needs
+    y - X_i to rename y one exponent at a time.  The first such element
+    names y.  Returns the ring, the tags, the packing under order(number
+    of ring variables), the engine on the ideal, whether every element
+    is weighted homogeneous and the moves that rename a packed dict of
+    the ring onto the tags (for _moved).  A tag's selection weight is
+    the weighted degree of its element, so the rename keeps degrees.
+    The order eliminates the ring variables, so a monomial is tag-only
+    exactly when it packs below its head-degree field,
+    1 << packing.shifts[0].
     """
     if not elements:
         raise ValueError("at least one element required")
@@ -618,6 +658,17 @@ def _tag_ideal(
     tags = _fresh_tag_names(ring, len(elements))
     n = ring.nvars
     packing = _Packing(order(n), n + len(tags))
+    units = packing.units
+    names: dict[int, int] = {}
+    for i, g in enumerate(elements):
+        if g._den == 1 and len(g._num) == 1:
+            ((m, c),) = g._num.items()
+            if c == 1 and sum(m) == 1:
+                names.setdefault(m.index(1), i)
+    moves = tuple(
+        (packing.raw_shifts[j], units[n + i] - units[j]) for j, i in names.items()
+    )
+    kept = set(names.values())
     base = ring.weights or (1,) * n
     weights = list(base)
     homogeneous = True
@@ -627,9 +678,12 @@ def _tag_ideal(
         homogeneous = homogeneous and len(degrees) <= 1
         weights.append(max(degrees, default=1))
         d, den = packing.pack_poly(g)
-        d[packing.units[n + i]] = -den
+        if i not in kept:
+            d = _moved(d, moves, packing.mask)
+        d[units[n + i]] = -den
         ideal.append(d)
-    return ring, tags, packing, _Engine(ideal, packing, weights), homogeneous
+    engine = _Engine(ideal, packing, weights)
+    return ring, tags, packing, engine, homogeneous, moves
 
 
 @dataclass(frozen=True)
@@ -668,13 +722,21 @@ class SubalgebraTester:
     homogeneous for the ring's weights, the basis is completed lazily:
     each membership query extends it just past the query's weighted
     degree, which is as far as the answer can depend on.
+
+    An element that is a ring variable y itself is renamed onto its tag
+    (see _tag_ideal), and so is y in every query: the query keeps its
+    normal form, hence its answer and its representation.  Reduction of
+    a query stops at the first term of its normal form that involves a
+    ring variable: that term leads the normal form and makes the answer
+    None.
     """
 
     def __init__(self, elements: Sequence[Polynomial]):
         self.elements = tuple(elements)
-        self.ring, self.tags, self._packing, self._engine, self._lazy = _tag_ideal(
-            self.elements, MonomialOrder._tag_elimination
-        )
+        (
+            self.ring, self.tags, self._packing, self._engine, self._lazy,
+            self._moves,
+        ) = _tag_ideal(self.elements, MonomialOrder._tag_elimination)
         self.tag_ring = Ring(self.tags)
         if not self._lazy:
             self._engine.complete()
@@ -690,8 +752,12 @@ class SubalgebraTester:
             engine.complete_to(
                 max(sum(w * e for w, e in zip(engine.weights, m)) for m in f._num)
             )
-        remainder, den = engine.reducer.reduce(*packing.pack_poly(f))
-        if remainder and max(remainder) >= 1 << packing.shifts[0]:
+        d, den = packing.pack_poly(f)
+        tag_only = 1 << packing.shifts[0]
+        remainder, den = engine.reducer.reduce(
+            _moved(d, self._moves, packing.mask), den, tag_only
+        )
+        if remainder and max(remainder) >= tag_only:
             return None
         return packing.unpack_poly(self.tag_ring, remainder, self.ring.nvars, den)
 
@@ -702,7 +768,7 @@ class SubalgebraTester:
 def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
     """The ideal of algebraic relations among the given elements, as its
     reduced Groebner basis under grlex on the tags."""
-    ring, tags, packing, engine, _ = _tag_ideal(
+    ring, tags, packing, engine, _, _ = _tag_ideal(
         tuple(elements), MonomialOrder.elimination
     )
     tag_ring = Ring(tags)

@@ -13,7 +13,8 @@ is a linear combination of the products of the elements of its degree.
 
 order_key is the textbook definition of each monomial order as a sort
 key on exponent tuples, written independently of the weight rows that
-lndkit packs monomials by.
+lndkit packs monomials by.  first_divisor is the linear divisor scan on
+exponent tuples, with no packing and no index.
 
 The term-dict oracles (naive_evaluate, naive_multiply, naive_apply,
 naive_orbit_point, naive_projection) redo polynomial arithmetic on plain
@@ -47,6 +48,15 @@ def order_key(order):
             sum(m[:k]), m[:k], sum(m[k:]), tuple(-e for e in reversed(m[k:]))
         )
     raise ValueError(f"unknown order kind {order.kind!r}")
+
+
+def first_divisor(lead: tuple[int, ...], leads: list[tuple[int, ...]]) -> int:
+    """The index of the first exponent tuple in leads that divides lead,
+    compared componentwise, or -1 when none does."""
+    for k, m in enumerate(leads):
+        if all(a <= b for a, b in zip(m, lead)):
+            return k
+    return -1
 
 
 def tag_monomials(count: int, max_degree: int) -> list[tuple[int, ...]]:

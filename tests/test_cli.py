@@ -186,6 +186,12 @@ def test_groebner_bad_order(capsys):
     assert run(["groebner", "--ring", "x", "--order", "mystery", "x"]) == 2
 
 
+def test_groebner_elimination_block_fits_the_ring(capsys):
+    # the default ring has five variables
+    assert run(["groebner", "--order", "elim:5", "x*v - s", "s^2"]) == 0
+    assert out(capsys).splitlines() == ["s^2", "x*v - s"]
+
+
 def test_relations(capsys):
     assert run(["relations", "--ring", "t", "t^2", "t^3", "--format", "json"]) == 0
     payload = json.loads(out(capsys))
@@ -365,6 +371,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         ["eval", "x^2", "--ring", "x", "--at", "x=1,x=2"],
         ["eval", "x^2", "--ring", "x", "--at", "x"],
         ["groebner", "--order", "elim:", "x"],
+        ["groebner", "--order", "elim:9", "x*v - s", "s^2"],
         ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
         ["kernel-compute", "--division-bound", "-1"],
         ["kernel-compute", "--division-bound", "many"],
@@ -381,6 +388,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         "at-duplicate-variable",
         "at-missing-value",
         "order-elim-without-block",
+        "order-elim-larger-than-ring",
         "kernel-check-negative-bound",
         "kernel-compute-negative-bound",
         "kernel-compute-bad-bound",
@@ -402,8 +410,17 @@ def test_bad_arguments_exit_2(argv, capsys):
         (["eval", "x", "--ring", "x", "--at", "x=1,x=2"], "'x' assigned twice"),
         (["eval", "x", "--ring", "x", "--at", "x"], "assignment 'x'"),
         (["groebner", "--order", "elim:", "x"], "unknown order 'elim:'"),
+        (
+            ["groebner", "--order", "elim:9", "x*v - s", "s^2"],
+            "order elim:9 eliminates 9 variables but the ring has 5",
+        ),
     ],
-    ids=["at-duplicate-variable", "at-missing-value", "order-elim-without-block"],
+    ids=[
+        "at-duplicate-variable",
+        "at-missing-value",
+        "order-elim-without-block",
+        "order-elim-larger-than-ring",
+    ],
 )
 def test_bad_argument_message_names_the_piece(argv, message, capsys):
     assert run(argv) == 2

@@ -32,7 +32,7 @@ from lndkit import (
     s_polynomial,
     subalgebra_membership,
 )
-from lndkit.groebner import _Packing
+from lndkit.groebner import _Packing, _Reducer
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -94,6 +94,17 @@ def test_order_fields_are_checked(kind, block):
         MonomialOrder(kind, block)
 
 
+def test_elimination_block_must_fit_the_ring():
+    # the order meets the ring in _rows, so that is where a block too
+    # large for it is refused, by every caller that packs
+    assert len(MonomialOrder.elimination(5)._rows(5)) == 2 + 5
+    for order in (MonomialOrder.elimination(6), MonomialOrder._tag_elimination(4)):
+        with pytest.raises(ValueError, match="but the ring has"):
+            order._rows(order.block - 1)
+    with pytest.raises(ValueError):
+        buchberger([X - Y], MonomialOrder.elimination(4))
+
+
 def test_grlex_vs_grevlex():
     # x*z^2 against y^2*z: same degree, opposite verdicts
     a, b = (1, 0, 2), (0, 2, 1)
@@ -144,6 +155,29 @@ def test_packed_divisibility(order):
         pa, pb = packing.pack(a), packing.pack(b)
         divides = ((pb | guard) - pa) & guard == guard
         assert divides == all(ea <= eb for ea, eb in zip(a, b))
+
+
+@given(
+    st.sampled_from(PACKED_ORDERS),
+    st.lists(
+        st.tuples(st.booleans(), st.tuples(*[st.integers(0, 2)] * 4)), max_size=40
+    ),
+)
+def test_find_agrees_with_first_divisor(order, steps):
+    # each step appends a lead to the entry list or looks one up, so the
+    # support index grows between lookups, as the engine's basis does;
+    # small exponents make repeated supports and leads with no divisor
+    packing = _Packing(order, 4)
+    entries, leads = [], []
+    reducer = _Reducer(entries, packing.guard)
+    for append, mono in steps:
+        if append:
+            entries.append((packing.pack(mono), 1, ()))
+            leads.append(mono)
+        for query in (mono, (2, 2, 2, 2), (0, 0, 0, 0)):
+            assert reducer.find(packing.pack(query)) == oracles.first_divisor(
+                query, leads
+            )
 
 
 def test_packing_overflow():
@@ -453,9 +487,14 @@ def test_membership_round_trip():
 
 @st.composite
 def _homogeneous_elements(draw):
-    """Two or three nonzero homogeneous polynomials of R2, degrees 1 to 3."""
+    """Two or three nonzero homogeneous polynomials of R2, degrees 1 to 3;
+    one in four is a bare variable, which the tester renames onto its
+    tag."""
     elements = []
     for _ in range(draw(st.integers(2, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            elements.append(draw(st.sampled_from([X2, Y2])))
+            continue
         degree = draw(st.integers(1, 3))
         monos = st.integers(0, degree).map(lambda a, d=degree: (a, d - a))
         terms = draw(st.dictionaries(monos, _SCALARS, min_size=1, max_size=2))
@@ -483,6 +522,30 @@ def test_membership_agrees_with_brute_force(elements, data):
         assert (rep is not None) == expected
         if rep is not None:
             assert substitute(rep) == f
+
+
+def test_renamed_variable_keeps_every_answer():
+    # x and 2*x span the same algebra with g and h, but only a bare
+    # variable is renamed onto its tag
+    g, h = X * Y + Z**2, Y**3 - X * Z**2
+    plain = SubalgebraTester([X, g, h])
+    scaled = SubalgebraTester([2 * X, g, h])
+    assert plain._moves and not scaled._moves
+    queries = [
+        X**3 * g, g * h - X**5, h**2 + 3 * X * g**2, X + g, g * h,
+        X * Y, Y**2, X**2 * h + Z, g**2 - X * Y * Z**2, Z**4 + X * Y * Z**2,
+        X**2 + Y**2, 7 * X**4,
+    ]
+    answers = []
+    for tester in (plain, scaled):
+        substitute = RingMap(tester.tag_ring, R3, tester.elements)
+        reps = [tester.representation(q) for q in queries]
+        for q, rep in zip(queries, reps):
+            assert rep is None or substitute(rep) == q
+        answers.append([rep is not None for rep in reps])
+    assert answers[0] == answers[1]
+    assert answers[0] == [oracles.brute_member(q, [X, g, h]) for q in queries]
+    assert 0 < sum(answers[0]) < len(queries)
 
 
 def test_representation_is_a_witness():
