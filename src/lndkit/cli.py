@@ -30,7 +30,7 @@ from .groebner import (
     relation_ideal,
     subalgebra_membership,
 )
-from .kernel import KernelStatus, Slice, kernel_check, kernel_compute
+from .kernel import DIVISION_BOUND, KernelStatus, Slice, kernel_check, kernel_compute
 from .parse import _integer, _rational_text, parse_polynomial, print_canonical
 from .poly import Point, Ring
 
@@ -282,12 +282,7 @@ def _cmd_kernel_check(args) -> int:
 def _cmd_kernel_compute(args) -> int:
     derivation = _derivation_from(args)
     slc = _make_slice(args, derivation)
-    result = kernel_compute(
-        derivation,
-        slc,
-        args.max_rounds,
-        division_bound=args.division_bound,
-    )
+    result = kernel_compute(derivation, slc, args.max_rounds)
     lines = []
     for i, added in enumerate(result.new_per_round):
         lines.append(
@@ -441,11 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slice-var", help="variable whose image is a monomial in the "
         "localized variable (default: inferred)",
     )
-    slice_opts.add_argument(
-        "--division-bound", type=_nonnegative_int, default=None,
-        help="extra factors of the localized variable to try in the "
-        "sufficiency test (default 16)",
-    )
 
     p = sub.add_parser(
         "kernel-check", parents=[fmt, ring_opts, deriv_opts, slice_opts],
@@ -453,6 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
         "generators (exit 0 only when they provably generate the kernel)",
     )
     p.add_argument("exprs", nargs="+", help="candidate kernel generators")
+    p.add_argument(
+        "--division-bound", type=_nonnegative_int, default=DIVISION_BOUND,
+        help="extra factors of the localized variable to try in the "
+        "sufficiency test (default %(default)s)",
+    )
     p.set_defaults(func=_cmd_kernel_check)
 
     p = sub.add_parser(
@@ -460,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterate kernel rounds from the localized seed generators",
     )
     p.add_argument(
-        "--rounds", dest="max_rounds", type=int, default=5,
-        help="round budget (default 5)",
+        "--rounds", dest="max_rounds", type=int, default=3,
+        help="round budget (default 3)",
     )
     p.set_defaults(func=_cmd_kernel_compute)
 

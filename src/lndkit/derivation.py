@@ -19,8 +19,9 @@ from typing import Iterator, Mapping
 from .errors import NilpotencyCapError, RingMismatchError
 from .poly import LaurentElement, Point, Polynomial, Ring, RingMap, Scalar
 
-# Iterated application stops with an error/None after this many steps
-# unless the caller overrides it.
+# Iterated application stops with an error/None after this many steps:
+# iterates raises NilpotencyCapError, nilpotency_index returns None and
+# is_locally_nilpotent returns False.
 NILPOTENCY_CAP = 64
 
 
@@ -76,17 +77,17 @@ class Derivation:
             f = self.apply(f)
         return f
 
-    def iterates(self, f: Polynomial, cap: int | None = None) -> Iterator[Polynomial]:
-        """Yield f, Df, D^2 f, ... until zero; error past the cap.
+    def iterates(self, f: Polynomial) -> Iterator[Polynomial]:
+        """Yield f, Df, D^2 f, ... until zero; raise NilpotencyCapError
+        after NILPOTENCY_CAP nonzero iterates.
 
         The zero polynomial is not yielded.
         """
-        limit = NILPOTENCY_CAP if cap is None else cap
         count = 0
         while not f.is_zero():
-            if count >= limit:
+            if count >= NILPOTENCY_CAP:
                 raise NilpotencyCapError(
-                    f"no zero after {limit} applications"
+                    f"no zero after {NILPOTENCY_CAP} applications"
                 )
             yield f
             f = self.apply(f)
@@ -115,24 +116,27 @@ class Derivation:
 
     # -- nilpotency -----------------------------------------------------
 
-    def nilpotency_index(self, f: Polynomial, cap: int | None = None) -> int | None:
-        """Least n with D^n f = 0, or None if not reached within the cap."""
+    def nilpotency_index(self, f: Polynomial) -> int | None:
+        """Least n with D^n f = 0, or None if not reached within
+        NILPOTENCY_CAP."""
         try:
-            return sum(1 for _ in self.iterates(f, cap))
+            return sum(1 for _ in self.iterates(f))
         except NilpotencyCapError:
             return None
 
-    def is_locally_nilpotent(self, cap: int | None = None) -> bool:
-        """Whether every variable is annihilated by some iterate.
+    def is_locally_nilpotent(self) -> bool:
+        """Whether every variable is annihilated by some iterate, read
+        off the cached variable iterates.
 
         A True answer is a proof (nilpotency on generators extends to the
-        whole ring); a False answer means the cap was hit and is evidence
-        only.
+        whole ring); a False answer means NILPOTENCY_CAP was hit and is
+        evidence only.
         """
-        return all(
-            self.nilpotency_index(self.ring.var(v), cap) is not None
-            for v in self.ring.variables
-        )
+        try:
+            self._variable_iterates
+        except NilpotencyCapError:
+            return False
+        return True
 
     # -- exponential ----------------------------------------------------
 
@@ -146,15 +150,15 @@ class Derivation:
         if parameter in self.ring.variables:
             raise ValueError(f"parameter {parameter!r} collides with a ring variable")
         extended = Ring((parameter,) + self.ring.variables)
-        embed = RingMap.from_mapping(self.ring, extended, {})
-        param = extended.var(parameter)
-        images = []
-        for chain in self._variable_iterates:
-            total = extended.zero()
-            for k, iterate in enumerate(chain):
-                total = total + embed(iterate) * Fraction(1, factorial(k)) * param**k
-            images.append(total)
-        return RingMap(self.ring, extended, tuple(images))
+        images = [
+            Polynomial(extended, {
+                (k,) + m: c / factorial(k)
+                for k, iterate in enumerate(chain)
+                for m, c in iterate.terms()
+            })
+            for chain in self._variable_iterates
+        ]
+        return RingMap(self.ring, extended, images)
 
     def translate(self, f: Polynomial, value: Scalar) -> Polynomial:
         """Evaluate the exponential at a parameter value: sum D^k(f)/k! a^k."""

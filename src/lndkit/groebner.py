@@ -592,26 +592,20 @@ def buchberger(
     return tuple(packing.unpack_poly(ring, d, den=d[max(d)]) for d in reduced)
 
 
-def ideal_membership(
-    f: Polynomial,
-    generators: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-) -> bool:
-    """Whether f lies in the ideal the generators span."""
-    order = order or MonomialOrder.grevlex()
+def ideal_membership(f: Polynomial, generators: Sequence[Polynomial]) -> bool:
+    """Whether f lies in the ideal the generators span (decided under
+    grevlex; the answer does not depend on the order)."""
+    order = MonomialOrder.grevlex()
     basis = buchberger(generators, order)
     if not basis:
         return f.is_zero()
     return normal_form(f, basis, order).is_zero()
 
 
-def ideal_equal(
-    first: Sequence[Polynomial],
-    second: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-) -> bool:
-    """Whether two generator lists span the same ideal."""
-    order = order or MonomialOrder.grevlex()
+def ideal_equal(first: Sequence[Polynomial], second: Sequence[Polynomial]) -> bool:
+    """Whether two generator lists span the same ideal (compared as
+    reduced grevlex bases, which are unique)."""
+    order = MonomialOrder.grevlex()
     return buchberger(first, order) == buchberger(second, order)
 
 
@@ -635,7 +629,7 @@ def _moved(d: dict, moves: tuple[tuple[int, int], ...], mask: int) -> dict:
 
 def _tag_ideal(
     elements: tuple[Polynomial, ...], order: Callable[[int], MonomialOrder]
-) -> tuple[Ring, tuple[str, ...], _Packing, _Engine, bool, tuple]:
+) -> tuple[Ring, Ring, _Packing, _Engine, bool, tuple]:
     """The ideal of the den*g_i - den*X_i, one fresh tag X_i per element
     g_i with denominator den, in the ring extended by the tags.
 
@@ -643,10 +637,10 @@ def _tag_ideal(
     every other generator reads X_i for y: the ideal is the same, so its
     reduced basis and every normal form are too, but no reduction needs
     y - X_i to rename y one exponent at a time.  The first such element
-    names y.  Returns the ring, the tags, the packing under order(number
-    of ring variables), the engine on the ideal, whether every element
-    is weighted homogeneous and the moves that rename a packed dict of
-    the ring onto the tags (for _moved).  A tag's selection weight is
+    names y.  Returns the ring, the ring of the tags, the packing under
+    order(number of ring variables), the engine on the ideal, whether
+    every element is weighted homogeneous and the moves that rename a
+    packed dict of the ring onto the tags (for _moved).  A tag's selection weight is
     the weighted degree of its element, so the rename keeps degrees.
     The order eliminates the ring variables, so a monomial is tag-only
     exactly when it packs below its head-degree field,
@@ -655,9 +649,9 @@ def _tag_ideal(
     if not elements:
         raise ValueError("at least one element required")
     ring = _common_ring(elements)
-    tags = _fresh_tag_names(ring, len(elements))
+    tag_ring = Ring(_fresh_tag_names(ring, len(elements)))
     n = ring.nvars
-    packing = _Packing(order(n), n + len(tags))
+    packing = _Packing(order(n), n + tag_ring.nvars)
     units = packing.units
     names: dict[int, int] = {}
     for i, g in enumerate(elements):
@@ -683,25 +677,29 @@ def _tag_ideal(
         d[units[n + i]] = -den
         ideal.append(d)
     engine = _Engine(ideal, packing, weights)
-    return ring, tags, packing, engine, homogeneous, moves
+    return ring, tag_ring, packing, engine, homogeneous, moves
 
 
 @dataclass(frozen=True)
 class RelationIdeal:
     """All polynomial relations among a fixed list of ring elements.
 
-    generators is the reduced Groebner basis, under grlex on tag_ring,
-    of the kernel of tag_ring -> R, tag i -> element i, sorted
-    ascending by leading monomial.
+    tag_ring has one tag variable per element, in element order, and
+    tags names them.  generators is the reduced Groebner basis, under
+    grlex on tag_ring, of the kernel of tag_ring -> R, tag i ->
+    element i, sorted ascending by leading monomial.
     """
 
     tag_ring: Ring
-    tags: tuple[str, ...]
     generators: tuple[Polynomial, ...]
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return self.tag_ring.variables
 
     def evaluate(self, relation: Polynomial, elements: Sequence[Polynomial]) -> Polynomial:
         """Substitute the original elements back into a relation."""
-        if len(elements) != len(self.tags):
+        if len(elements) != self.tag_ring.nvars:
             raise ValueError("one element per tag required")
         ring = _common_ring(list(elements))
         link = RingMap(self.tag_ring, ring, tuple(elements))
@@ -734,12 +732,15 @@ class SubalgebraTester:
     def __init__(self, elements: Sequence[Polynomial]):
         self.elements = tuple(elements)
         (
-            self.ring, self.tags, self._packing, self._engine, self._lazy,
+            self.ring, self.tag_ring, self._packing, self._engine, self._lazy,
             self._moves,
         ) = _tag_ideal(self.elements, MonomialOrder._tag_elimination)
-        self.tag_ring = Ring(self.tags)
         if not self._lazy:
             self._engine.complete()
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return self.tag_ring.variables
 
     def representation(self, f: Polynomial) -> Polynomial | None:
         """A polynomial over the tags evaluating to f, or None."""
@@ -768,10 +769,9 @@ class SubalgebraTester:
 def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
     """The ideal of algebraic relations among the given elements, as its
     reduced Groebner basis under grlex on the tags."""
-    ring, tags, packing, engine, _, _ = _tag_ideal(
+    ring, tag_ring, packing, engine, _, _ = _tag_ideal(
         tuple(elements), MonomialOrder.elimination
     )
-    tag_ring = Ring(tags)
     # the reduced basis ascends by lead; its tag-only elements, which
     # the head block orders first, are the relations
     generators = tuple(
@@ -779,7 +779,7 @@ def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
         for d in engine.reduced()
         if max(d) < 1 << packing.shifts[0]
     )
-    return RelationIdeal(tag_ring, tags, generators)
+    return RelationIdeal(tag_ring, generators)
 
 
 def subalgebra_membership(

@@ -178,7 +178,7 @@ def kernel_check(
     candidates: Sequence[Polynomial],
     slc: Slice | None = None,
     *,
-    division_bound: int | None = None,
+    division_bound: int = DIVISION_BOUND,
 ) -> KernelCheckOutcome:
     """One round of the reduce-and-divide kernel test.
 
@@ -187,9 +187,8 @@ def kernel_check(
     when a localized generator could not be pushed into the candidate
     algebra within the division bound.
     """
-    if division_bound is not None and division_bound < 0:
+    if division_bound < 0:
         raise ValueError("division_bound must be nonnegative")
-    bound = DIVISION_BOUND if division_bound is None else division_bound
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("at least one candidate required")
@@ -214,23 +213,20 @@ def kernel_check(
     # Sufficiency: every localized kernel generator must reach the
     # candidate algebra after finitely many multiplications by loc.
     sufficiency = []
-    conclusive = True
     for name, gen in zip(ring.variables, slice_kernel_generators(slc)):
         if gen.is_zero() or gen.numerator.is_constant():
             sufficiency.append(SufficiencyCheck(name, gen, 0))
             continue
         probe = gen.numerator
         shift = None
-        for k in range(bound + 1):
+        for k in range(division_bound + 1):
             if tester.contains(probe):
                 shift = k
                 break
             probe = probe * loc_poly
         sufficiency.append(SufficiencyCheck(name, gen, shift))
-        if shift is None:
-            conclusive = False
-    if not conclusive:
-        failed = [c.variable for c in sufficiency if c.shift is None]
+    failed = [c.variable for c in sufficiency if c.shift is None]
+    if failed:
         return KernelCheckOutcome(
             KernelStatus.INCONCLUSIVE,
             (),
@@ -238,7 +234,7 @@ def kernel_check(
             (),
             tuple(sufficiency),
             (f"localized generators for {failed} stayed outside the "
-             f"candidate algebra through {bound} extra factors of {slc.loc_var}",),
+             f"candidate algebra through {division_bound} extra factors of {slc.loc_var}",),
         )
 
     # Relations of the candidates modulo loc, then divide and retest.
@@ -290,10 +286,16 @@ def kernel_check(
 class KernelComputeResult:
     stabilized: bool
     generators: tuple[Polynomial, ...]
-    rounds: int
     counts: tuple[int, ...]  # candidate count at the seed and after each round
-    new_per_round: tuple[tuple[Polynomial, ...], ...]
     outcomes: tuple[KernelCheckOutcome, ...]
+
+    @property
+    def rounds(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def new_per_round(self) -> tuple[tuple[Polynomial, ...], ...]:
+        return tuple(outcome.new_elements for outcome in self.outcomes)
 
 
 def seed_candidates(slc: Slice) -> tuple[Polynomial, ...]:
@@ -310,55 +312,39 @@ def seed_candidates(slc: Slice) -> tuple[Polynomial, ...]:
 
 
 def kernel_compute(
-    derivation: Derivation,
-    slc: Slice | None = None,
-    max_rounds: int = 5,
-    *,
-    seed: Sequence[Polynomial] | None = None,
-    division_bound: int | None = None,
+    derivation: Derivation, slc: Slice | None = None, max_rounds: int = 3
 ) -> KernelComputeResult:
-    """Iterate kernel_check, adjoining new elements, until it certifies
-    the candidates or the round budget runs out.
+    """Iterate kernel_check from seed_candidates(slc), adjoining new
+    elements, until it certifies the candidates or max_rounds rounds
+    have run.
 
-    A stabilized result is a proven generating set of the kernel,
-    greedily minimized.  An unstabilized result reports the candidates
+    Every localized generator's numerator is a constant or a scalar
+    multiple of a seed, and candidates only grow, so every sufficiency
+    probe is a member at shift 0 and no round is INCONCLUSIVE; the
+    division bound of kernel_check never comes into play.  A stabilized
+    result is a proven generating set of the kernel, greedily
+    minimized.  An unstabilized result reports the candidates
     accumulated so far.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     if slc is None:
         slc = Slice.infer(derivation)
-    candidates = list(seed) if seed is not None else list(seed_candidates(slc))
+    candidates = list(seed_candidates(slc))
     counts = [len(candidates)]
     outcomes = []
-    new_per_round = []
-    stabilized = False
-    rounds = 0
     for _ in range(max_rounds):
-        outcome = kernel_check(
-            derivation, candidates, slc, division_bound=division_bound
-        )
-        rounds += 1
+        outcome = kernel_check(derivation, candidates, slc)
         outcomes.append(outcome)
-        new_per_round.append(outcome.new_elements)
         candidates.extend(outcome.new_elements)
         counts.append(len(candidates))
-        if outcome.status is KernelStatus.CONFIRMED:
-            stabilized = True
+        if outcome.status is not KernelStatus.NEW_GENERATORS:
             break
-        if outcome.status is KernelStatus.INCONCLUSIVE:
-            break
+    stabilized = outcomes[-1].confirmed
     generators = tuple(candidates)
     if stabilized:
         generators = _minimize(generators)
-    return KernelComputeResult(
-        stabilized,
-        generators,
-        rounds,
-        tuple(counts),
-        tuple(new_per_round),
-        tuple(outcomes),
-    )
+    return KernelComputeResult(stabilized, generators, tuple(counts), tuple(outcomes))
 
 
 def _minimize(generators: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:

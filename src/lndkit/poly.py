@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -536,22 +536,28 @@ class RingMap:
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:
             raise RingMismatchError("polynomial lies outside the source ring")
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def pow_img(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = self.images[i] ** e
-            return power_cache[key]
-
-        total = self.target.zero()
+        images = self.images
+        # image i is N_i / b_i in lowest terms, so its e-th power is
+        # N_i^e / b_i^e (Gauss's lemma) and every term's product of
+        # powers has a denominator dividing den = prod b_i^top_i
+        top, used = f._exponent_shape() if f else ((), ())
+        den = prod(images[i]._den ** top[i] for i, _ in used)
+        powers: dict[tuple[int, int], Polynomial] = {}
+        one = self.target.one()
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
         for mono, coeff in f._num.items():
-            piece = self.target.const(coeff)
+            piece = one
             for i, e in enumerate(mono):
                 if e:
-                    piece = piece * pow_img(i, e)
-            total = total + piece
-        return Polynomial._make(self.target, total._num, total._den * f._den)
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i] ** e
+                    piece = piece * powers[i, e]
+            scale = coeff * (den // piece._den)
+            for m, c in piece._num.items():
+                acc[m] = get(m, 0) + c * scale
+        out = {m: c for m, c in acc.items() if c}
+        return Polynomial._make(self.target, out, den * f._den)
 
     __call__ = apply
 

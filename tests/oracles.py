@@ -17,9 +17,10 @@ lndkit packs monomials by.  first_divisor is the linear divisor scan on
 exponent tuples, with no packing and no index.
 
 The term-dict oracles (naive_evaluate, naive_multiply, naive_apply,
-naive_orbit_point, naive_projection) redo polynomial arithmetic on plain
-{exponent tuple: Fraction} dicts, one Fraction operation per term, with
-no code from lndkit.poly: they check its integer fast paths.
+naive_substitute, naive_orbit_point, naive_projection) redo polynomial
+arithmetic on plain {exponent tuple: Fraction} dicts, one Fraction
+operation per term, with no code from lndkit.poly: they check its
+integer fast paths.
 naive_projection sums the slice projection term by term with negative
 exponents allowed, so it shares nothing with the single-numerator form
 that lndkit builds.
@@ -255,6 +256,20 @@ def naive_apply(images: list, terms: dict) -> dict:
                 lowered = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
                 partial[lowered] = Fraction(coeff) * mono[i]
         total = _naive_add(total, naive_multiply(image, partial))
+    return total
+
+
+def naive_substitute(images: list, terms: dict, nvars: int) -> dict:
+    """The ring map sending variable i to images[i] (term dicts in nvars
+    variables) applied to terms: the sum over the terms of coefficient *
+    prod images[i]**e, each power taken as repeated products."""
+    total: dict = {}
+    for mono, coeff in terms.items():
+        piece = {(0,) * nvars: Fraction(coeff)}
+        for image, e in zip(images, mono):
+            for _ in range(e):
+                piece = naive_multiply(piece, image)
+        total = _naive_add(total, piece)
     return total
 
 

@@ -284,6 +284,14 @@ def test_kernel_compute_text(capsys):
     assert len([line for line in lines if line.startswith("generator:")]) == 3
 
 
+def test_kernel_compute_default_rounds(capsys):
+    # builtin:D never stabilizes; the default budget is three rounds
+    assert run(["kernel-compute"]) == 0
+    lines = out(capsys).splitlines()
+    assert lines[2] == "round 3: 13 -> 41 (+28)"
+    assert lines[3] == "stabilized: no"
+
+
 def test_kernel_compute_explicit_slice(capsys):
     code = run(
         ["kernel-compute", "--derivation", "builtin:Delta", "--loc", "s",
@@ -373,8 +381,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         ["groebner", "--order", "elim:", "x"],
         ["groebner", "--order", "elim:9", "x*v - s", "s^2"],
         ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
-        ["kernel-compute", "--division-bound", "-1"],
-        ["kernel-compute", "--division-bound", "many"],
+        ["kernel-compute", "--division-bound", "16"],
         ["eval", "x", "--ring", "x", "--weights", "one"],
         ["eval", "(" * 250 + "x" + ")" * 250],
         ["eval", "(" * 5000 + "x" + ")" * 5000],
@@ -390,8 +397,7 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         "order-elim-without-block",
         "order-elim-larger-than-ring",
         "kernel-check-negative-bound",
-        "kernel-compute-negative-bound",
-        "kernel-compute-bad-bound",
+        "kernel-compute-refuses-division-bound",
         "weights-not-integers",
         "nesting-250-deep",
         "nesting-5000-deep",
@@ -527,8 +533,8 @@ def test_malformed_derivation_json_exits_2(tmp_path_factory, data):
 
 # -- random argv ----------------------------------------------------------------
 
-# kernel-compute is left out: its default five rounds on builtin:D reach
-# the fourth reference round, which runs for many minutes
+# kernel-compute is left out: each call runs up to three kernel rounds,
+# about 0.3 s on builtin:D, too slow for hundreds of draws
 _COMMANDS = [
     "eval", "derive", "exp", "act", "invariant", "groebner", "relations",
     "member", "kernel-check", "paper",

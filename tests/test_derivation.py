@@ -10,6 +10,7 @@ import oracles
 from lndkit import (
     Derivation,
     LaurentElement,
+    NILPOTENCY_CAP,
     NilpotencyCapError,
     Point,
     Polynomial,
@@ -137,23 +138,26 @@ def test_iterates():
     chain = list(SHIFT.iterates(Y**2))
     assert chain == [Y**2, 2 * X * Y, 2 * X**2]
     assert list(SHIFT.iterates(R2.zero())) == []
+    # the cap trips after NILPOTENCY_CAP nonzero iterates
+    chain = []
     with pytest.raises(NilpotencyCapError):
-        list(EULER.iterates(X, cap=8))
-    # the default cap also trips eventually
-    with pytest.raises(NilpotencyCapError):
-        list(EULER.iterates(X))
+        for g in EULER.iterates(X):
+            chain.append(g)
+    assert len(chain) == NILPOTENCY_CAP
 
 
 def test_nilpotency_index():
     assert SHIFT.nilpotency_index(Y**2) == 3
     assert SHIFT.nilpotency_index(X) == 1
     assert SHIFT.nilpotency_index(R2.zero()) == 0
-    assert EULER.nilpotency_index(X, cap=10) is None
+    assert EULER.nilpotency_index(X) is None
 
 
 def test_is_locally_nilpotent():
     assert SHIFT.is_locally_nilpotent()
-    assert not EULER.is_locally_nilpotent(cap=10)
+    # the answer comes from the cached variable iterates
+    assert "_variable_iterates" in vars(SHIFT)
+    assert not EULER.is_locally_nilpotent()
 
 
 def test_builtin_depths(context):

@@ -25,6 +25,7 @@ from lndkit import (
     slice_kernel_generators,
 )
 from lndkit.groebner import _Reducer
+from lndkit.kernel import _minimize
 
 
 # -- Slice -------------------------------------------------------------------
@@ -299,36 +300,26 @@ def test_round_three_membership_work(growth3, monkeypatch):
     assert len(finds) < 25000
 
 
-def test_kernel_compute_custom_seed(context):
+def test_minimize_strips_redundant_generators(context):
     ring = context.quotient_ring
-    seed = [
-        ring.var("s"),
-        ring.var("v"),
-        parse_polynomial("2*s*u - t^2", ring),
-        ring.var("s") ** 2,
-        ring.var("s") * ring.var("v"),
-    ]
-    result = kernel_compute(
-        context.quotient_derivation, context.quotient_slice, 5, seed=seed
-    )
-    assert result.stabilized
-    # minimization strips the two redundant seeds
-    assert set(result.generators) == set(context.quotient_kernel)
+    s, v = ring.var("s"), ring.var("v")
+    gens = (s, v, parse_polynomial("2*s*u - t^2", ring), s**2, s * v)
+    # s^2 and s*v lie in the algebra of the first three
+    assert _minimize(gens) == gens[:3]
+    assert set(gens[:3]) == set(context.quotient_kernel)
 
 
-def test_kernel_compute_inconclusive_stops(context):
-    f = context.generators
-    result = kernel_compute(
-        context.derivation,
-        context.kernel_slice,
-        4,
-        seed=[f[0], f[3]],
-        division_bound=0,
-    )
-    assert not result.stabilized
-    assert result.rounds == 1
-    assert result.counts == (2, 2)
-    assert result.outcomes[-1].status is KernelStatus.INCONCLUSIVE
+def test_seeded_rounds_shift_zero(growth3, context):
+    # every localized generator's numerator is a constant or a scalar
+    # multiple of a seed, and candidates only grow, so every probe is a
+    # member at once
+    delta = kernel_compute(context.quotient_derivation, context.quotient_slice)
+    delta_prime = kernel_compute(context.folded_derivation, context.folded_slice)
+    assert delta.stabilized and delta_prime.stabilized  # within the default 3 rounds
+    for result in (growth3, delta, delta_prime):
+        for outcome in result.outcomes:
+            assert outcome.sufficiency
+            assert all(c.shift == 0 for c in outcome.sufficiency)
 
 
 def test_kernel_compute_validation(context):

@@ -30,6 +30,8 @@ from lndkit.poly import EXPONENT_CAP, grlex_key
 R3 = Ring(("x", "y", "z"))
 RW = Ring(("x", "s", "t", "u", "v"), (1, 3, 3, 3, 2))
 X, Y, Z = R3.var("x"), R3.var("y"), R3.var("z")
+R2 = Ring(("a", "b"))
+A, B = R2.var("a"), R2.var("b")
 
 
 # -- strategies -------------------------------------------------------------
@@ -453,6 +455,24 @@ def test_ring_map_is_a_homomorphism(a, b):
     link = RingMap.from_mapping(R3, R3, {"x": Y + 1, "y": X * Z})
     assert link(a + b) == link(a) + link(b)
     assert link(a * b) == link(a) * link(b)
+
+
+@example(
+    X**2 * Y * Fraction(2, 3) - Z**3 * Fraction(1, 7) + Fraction(1, 5),
+    [A * Fraction(1, 2) + B * Fraction(1, 3), R2.const(Fraction(3, 4)),
+     B * Fraction(1, 5) - 1],
+)
+@given(
+    polynomials(max_terms=5, max_exp=3),
+    st.lists(polynomials(R2, max_terms=3, max_exp=2), min_size=3, max_size=3),
+)
+def test_ring_map_matches_naive_oracle(f, images):
+    got = RingMap(R3, R2, images)(f)
+    want = oracles.naive_substitute(
+        [g.term_dict() for g in images], f.term_dict(), R2.nvars
+    )
+    assert got.term_dict() == want
+    assert stored_terms_are_clean(got)
 
 
 # -- LaurentElement ---------------------------------------------------------
