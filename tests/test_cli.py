@@ -381,6 +381,8 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         ["groebner", "--order", "elim:", "x"],
         ["groebner", "--order", "elim:9", "x*v - s", "s^2"],
         ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
+        ["kernel-compute", "--division-bound", "-1"],
+        ["kernel-compute", "--division-bound", "many"],
         ["kernel-compute", "--division-bound", "16"],
         ["eval", "x", "--ring", "x", "--weights", "one"],
         ["eval", "(" * 250 + "x" + ")" * 250],
@@ -397,6 +399,8 @@ KERNEL_CANDIDATES = ["x", "2*x^3*t - s^2", "x*v - s", "3*x^6*u - 3*x^3*s*t + s^3
         "order-elim-without-block",
         "order-elim-larger-than-ring",
         "kernel-check-negative-bound",
+        "kernel-compute-negative-bound",
+        "kernel-compute-bad-bound",
         "kernel-compute-refuses-division-bound",
         "weights-not-integers",
         "nesting-250-deep",
