@@ -52,16 +52,6 @@ def _rational(text: str) -> Fraction:
     return -value if match[1] == "-" else value
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
-
-
 def _ring_from(args) -> Ring:
     if getattr(args, "ring", None) is None:
         if getattr(args, "weights", None) is not None:
@@ -444,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("exprs", nargs="+", help="candidate kernel generators")
     p.add_argument(
-        "--division-bound", type=_nonnegative_int, default=DIVISION_BOUND,
+        "--division-bound", type=int, default=DIVISION_BOUND,
         help="extra factors of the localized variable to try in the "
         "sufficiency test (default %(default)s)",
     )

@@ -168,18 +168,20 @@ class Derivation:
             total = total + iterate * (a**k / factorial(k))
         return total
 
+    @cached_property
+    def _flow(self) -> RingMap:
+        """The exponential, derived once, under a parameter name longer
+        than every variable name, so no variable has it."""
+        return self.exponential("r" + "_" * max(map(len, self.ring.variables)))
+
     def orbit_point(self, value: Scalar, point: Point) -> Point:
-        """Move a point along the flow by the given parameter value."""
+        """Move a point along the flow by the given parameter value: the
+        exponential's images evaluated at (value, point)."""
         if point.ring != self.ring:
             raise RingMismatchError("point lives in a different ring")
-        a = Fraction(value)
-        coords = []
-        for chain in self._variable_iterates:
-            total = Fraction(0)
-            for k, iterate in enumerate(chain):
-                total += iterate.evaluate(point) * a**k / factorial(k)
-            coords.append(total)
-        return Point(self.ring, tuple(coords))
+        flow = self._flow
+        at = Point(flow.target, (value,) + point.coordinates)
+        return Point(self.ring, tuple(image.evaluate(at) for image in flow.images))
 
     def is_invariant(self, f: Polynomial) -> bool:
         return self.apply(f).is_zero()

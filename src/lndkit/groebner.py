@@ -2,12 +2,13 @@
 package leans on: relation ideals of a list of ring elements, and
 membership tests for the subalgebra they generate.
 
-The Buchberger loop uses the normal selection strategy (lowest lcm
-degree first, ties broken by the lcm under the order and then by pair
-indices) and prunes the pair queue with the Gebauer-Moller criteria:
-coprime leading monomials, chains through a dividing lcm, and duplicate
-lcms.  Output bases are reduced and monic, hence unique for a given
-ideal and order, with generators sorted ascending by leading monomial.
+The Buchberger loop uses the normal selection strategy (smallest lcm
+under the order first, ties broken by pair indices; the tag ideals
+below pop by a weighted lcm degree first) and prunes the pair queue
+with the Gebauer-Moller criteria: coprime leading monomials, chains
+through a dividing lcm, and duplicate lcms.  Output bases are reduced
+and monic, hence unique for a given ideal and order, with generators
+sorted ascending by leading monomial.
 
 Internally monomials are packed into single integers (see _Packing),
 one 16-bit field per integer weight row of the order (see
@@ -347,7 +348,6 @@ class _Reducer:
                     den *= mult
                     f = {m: c * mult for m, c in f.items()}
                     remainder = {m: c * mult for m, c in remainder.items()}
-            plain = scale == 1
             for m, gc in tail:
                 mm = m + shift
                 old = f.get(mm)
@@ -356,10 +356,10 @@ class _Reducer:
                         raise ExponentOverflowError(
                             "monomial exceeds the packed-field limit"
                         )
-                    f[mm] = -gc if plain else -scale * gc
+                    f[mm] = -scale * gc
                     push(heap, -mm)
                 else:
-                    val = (old - gc) if plain else (old - scale * gc)
+                    val = old - scale * gc
                     if val:
                         f[mm] = val
                     else:
@@ -391,12 +391,13 @@ def _spoly(a: tuple, b: tuple, plcm: int, guard: int) -> dict:
 class _Engine:
     """Resumable Buchberger loop on packed, primitive integer entries.
 
-    Pairs pop by weighted lcm degree (weights default to all ones), then
-    the order rank of the lcm, then indices.  The pair set is maintained
-    with the Gebauer-Moller update: a fresh pair dies to a coprime
-    classmate or a pair whose lcm divides its own, surviving duplicates
-    collapse to one, and old pairs die when the new lead divides their
-    lcm strictly between the two old lcms.  Retired elements (lead
+    Pairs pop by the lcm under the order (whose top field is the degree
+    under grlex and grevlex), then indices; given selection weights, by
+    the weighted lcm degree first.  The pair set is maintained with the
+    Gebauer-Moller update: a fresh pair dies to a coprime classmate or
+    a pair whose lcm divides its own, surviving duplicates collapse to
+    one, and old pairs die when the new lead divides their lcm strictly
+    between the two old lcms.  Retired elements (lead
     divisible by a newer lead) stop forming pairs but keep reducing.
     Each lcm with the newest lead is taken once: the sum of the packed
     leads when they share no variable, else on exponent tuples.
@@ -422,7 +423,7 @@ class _Engine:
     ):
         self.packing = packing
         self.guard = packing.guard
-        self.weights = tuple(weights) if weights else (1,) * packing.nvars
+        self.weights = tuple(weights) if weights else None
         self.basis: list[tuple] = []
         self.lm_tuples: list[tuple[int, ...]] = []
         # bit j set when variable j occurs in the lead
@@ -474,8 +475,10 @@ class _Engine:
                 raised = plcm | guard
                 if any((raised - q) & guard == guard for q in kept):
                     continue
-                L = lm_tuples[i]
-                wdeg = sum(w * (x if x >= y else y) for w, x, y in zip(weights, L, T))
+                wdeg = plcm
+                if weights:
+                    L = lm_tuples[i]
+                    wdeg = sum(w * (x if x >= y else y) for w, x, y in zip(weights, L, T))
                 pairs[(i, t)] = plcm
                 heapq.heappush(self.pair_heap, (wdeg, plcm, i, t))
             kept.append(plcm)

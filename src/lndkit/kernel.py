@@ -23,7 +23,7 @@ certificate appears or a round budget runs out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -43,45 +43,40 @@ DIVISION_BOUND = 16
 class Slice:
     """A slice datum: D(var) = coefficient * loc_var**power, D(loc_var) = 0.
 
-    Checked once, at construction, so every Slice is a valid one: after
-    inverting loc_var, var / (coefficient * loc_var**power) maps to 1
-    under the derivation.
+    Construction reads coefficient and power off the image of var and
+    raises SliceError unless that image is one term in loc_var alone and
+    loc_var is invariant.  So every Slice is a valid one: after inverting
+    loc_var, var / (coefficient * loc_var**power) maps to 1 under D.
     """
 
     derivation: Derivation
     var: str
     loc_var: str
-    coefficient: Fraction
-    power: int
+    coefficient: Fraction = field(init=False)
+    power: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
         ring = self.derivation.ring
         ring.index(self.var)
         if not self.derivation.image(self.loc_var).is_zero():
             raise SliceError(f"localized variable {self.loc_var} is not invariant")
-        if self.coefficient == 0:
-            raise SliceError("slice coefficient must be nonzero")
-        expected = ring.var(self.loc_var) ** self.power * self.coefficient
-        if self.derivation.image(self.var) != expected:
-            raise SliceError(
-                f"image of {self.var} is not {self.coefficient} * "
-                f"{self.loc_var}^{self.power}"
-            )
+        image = self.derivation.image(self.var)
+        terms = image.term_dict()
+        if len(terms) == 1:
+            ((mono, coeff),) = terms.items()
+            power = mono[ring.index(self.loc_var)]
+            if image == ring.var(self.loc_var) ** power * coeff:
+                object.__setattr__(self, "coefficient", coeff)
+                object.__setattr__(self, "power", power)
+                return
+        raise SliceError(
+            f"image of {self.var} is not a monomial in {self.loc_var}: {image}"
+        )
 
     @classmethod
     def of(cls, derivation: Derivation, var: str, loc_var: str) -> "Slice":
-        """Read the coefficient and power off the single-term image of
-        var; construction checks that the image is exactly that term."""
-        image = derivation.image(var)
-        terms = image.term_dict()
-        if len(terms) != 1:
-            raise SliceError(
-                f"image of {var} is not a monomial in {loc_var}: {image}"
-            )
-        ((mono, coeff),) = terms.items()
-        power = mono[derivation.ring.index(loc_var)]
-        return cls(derivation, var, loc_var, coeff, power)
+        """The same as Slice(derivation, var, loc_var)."""
+        return cls(derivation, var, loc_var)
 
     @classmethod
     def infer(cls, derivation: Derivation, loc_var: str | None = None) -> "Slice":
@@ -176,11 +171,12 @@ class KernelCheckOutcome:
 def kernel_check(
     derivation: Derivation,
     candidates: Sequence[Polynomial],
-    slc: Slice | None = None,
+    slc: Slice,
     *,
     division_bound: int = DIVISION_BOUND,
 ) -> KernelCheckOutcome:
-    """One round of the reduce-and-divide kernel test.
+    """One round of the reduce-and-divide kernel test, localized at the
+    given slice of the same derivation (Slice.infer finds one).
 
     Returns CONFIRMED when the candidates provably generate the kernel,
     NEW_GENERATORS with fresh kernel elements otherwise, or INCONCLUSIVE
@@ -192,8 +188,6 @@ def kernel_check(
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("at least one candidate required")
-    if slc is None:
-        slc = Slice.infer(derivation)
     if slc.derivation != derivation:
         raise ValueError("slice belongs to a different derivation")
     ring = derivation.ring
@@ -312,11 +306,11 @@ def seed_candidates(slc: Slice) -> tuple[Polynomial, ...]:
 
 
 def kernel_compute(
-    derivation: Derivation, slc: Slice | None = None, max_rounds: int = 3
+    derivation: Derivation, slc: Slice, max_rounds: int = 3
 ) -> KernelComputeResult:
-    """Iterate kernel_check from seed_candidates(slc), adjoining new
-    elements, until it certifies the candidates or max_rounds rounds
-    have run.
+    """Iterate kernel_check from seed_candidates(slc), with slc a slice
+    of the derivation (Slice.infer finds one), adjoining new elements,
+    until it certifies the candidates or max_rounds rounds have run.
 
     Every localized generator's numerator is a constant or a scalar
     multiple of a seed, and candidates only grow, so every sufficiency
@@ -328,8 +322,6 @@ def kernel_compute(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    if slc is None:
-        slc = Slice.infer(derivation)
     candidates = list(seed_candidates(slc))
     counts = [len(candidates)]
     outcomes = []

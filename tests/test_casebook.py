@@ -180,6 +180,11 @@ def test_corrupted_generator_is_caught(context):
     assert not _status(report, "invariants_annihilated").ok
     witness = _status(report, "invariants_annihilated").witness
     assert "f2" in witness
+    # the flow check substitutes the flowed variables into f2 + t, so it
+    # catches the leak without applying the derivation to f2 + t
+    flowed = _status(report, "invariants_constant_on_flows")
+    assert not flowed.ok
+    assert "f2" in flowed.witness
 
 
 def test_corrupted_folded_generator_is_caught(context):

@@ -424,12 +424,17 @@ def test_bad_arguments_exit_2(argv, capsys):
             ["groebner", "--order", "elim:9", "x*v - s", "s^2"],
             "order elim:9 eliminates 9 variables but the ring has 5",
         ),
+        (
+            ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
+            "division_bound must be nonnegative",
+        ),
     ],
     ids=[
         "at-duplicate-variable",
         "at-missing-value",
         "order-elim-without-block",
         "order-elim-larger-than-ring",
+        "kernel-check-negative-bound",
     ],
 )
 def test_bad_argument_message_names_the_piece(argv, message, capsys):

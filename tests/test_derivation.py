@@ -236,6 +236,18 @@ def test_orbit_point_matches_naive_oracle(derivation, value, coords):
     assert derivation.orbit_point(value, point) == expected
 
 
+@given(small_fractions, st.tuples(*[small_fractions] * 3))
+def test_orbit_point_on_a_ring_with_variable_r(value, coords):
+    # the flow's parameter must not collide with r, r_ or any other name
+    ring = Ring(("r", "r_", "y"))
+    r, r_ = ring.var("r"), ring.var("r_")
+    derivation = Derivation.from_mapping(ring, {"r_": 2 * r, "y": r_**2 - r})
+    point = Point(ring, coords)
+    assert derivation.orbit_point(value, point) == naive_orbit_point(
+        derivation, value, point
+    )
+
+
 @given(
     small_fractions,
     st.tuples(*[small_fractions] * 5),

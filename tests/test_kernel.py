@@ -52,14 +52,12 @@ def test_slice_of_rejects_bad_images(context):
 def test_slice_validate(context):
     D = context.derivation
     with pytest.raises(SliceError):
-        Slice(D, "t", "s", 1, 1)  # s is not invariant
+        Slice(D, "t", "s")  # s is not invariant
     with pytest.raises(SliceError):
-        Slice(D, "s", "x", 0, 3)  # zero coefficient
-    with pytest.raises(SliceError):
-        Slice(D, "s", "x", 1, 2)  # wrong power
-    with pytest.raises(SliceError):
-        Slice(D, "s", "x", 2, 3)  # wrong coefficient
-    assert Slice(D, "s", "x", 1, 3) == context.kernel_slice
+        Slice(D, "t", "x")  # image s is not a monomial in x
+    slc = Slice(D, "s", "x")
+    assert (slc.coefficient, slc.power) == (1, 3)
+    assert slc == context.kernel_slice
 
 
 def test_slice_infer(context):
