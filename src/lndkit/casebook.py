@@ -20,7 +20,6 @@ ones.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -78,9 +77,6 @@ class VerificationReport:
             ],
         }
 
-    def render_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
 
 @dataclass(frozen=True)
 class PaperContext:
@@ -113,6 +109,13 @@ class PaperContext:
             self.fold_map.target != self.folded_ring
         ):
             raise ValueError("fold map ring mismatch")
+        for name, slc, d in (
+            ("kernel", self.kernel_slice, self.derivation),
+            ("quotient", self.quotient_slice, self.quotient_derivation),
+            ("folded", self.folded_slice, self.folded_derivation),
+        ):
+            if slc.derivation != d:
+                raise ValueError(f"{name} slice belongs to a different derivation")
         for d in (self.derivation, self.quotient_derivation, self.folded_derivation):
             if not d.is_locally_nilpotent():
                 raise ValueError(f"{d!r} is not locally nilpotent")

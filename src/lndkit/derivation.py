@@ -11,7 +11,6 @@ the induced flow on points and on polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from typing import Iterator, Mapping
@@ -71,9 +70,14 @@ class Derivation:
         return self.apply(f)
 
     def apply_iter(self, f: Polynomial, times: int) -> Polynomial:
+        """D^times f.  Stops applying once an iterate is zero, since
+        D(0) = 0; a derivation that is not locally nilpotent is applied
+        all `times` times."""
         if times < 0:
             raise ValueError("times must be nonnegative")
         for _ in range(times):
+            if f.is_zero():
+                break
             f = self.apply(f)
         return f
 
@@ -159,14 +163,6 @@ class Derivation:
             for chain in self._variable_iterates
         ]
         return RingMap(self.ring, extended, images)
-
-    def translate(self, f: Polynomial, value: Scalar) -> Polynomial:
-        """Evaluate the exponential at a parameter value: sum D^k(f)/k! a^k."""
-        a = Fraction(value)
-        total = self.ring.zero()
-        for k, iterate in enumerate(self.iterates(f)):
-            total = total + iterate * (a**k / factorial(k))
-        return total
 
     @cached_property
     def _flow(self) -> RingMap:

@@ -571,8 +571,6 @@ def normal_form(
     only when basis is a Groebner basis.
     """
     nonzero = [g for g in basis if not g.is_zero()]
-    if not nonzero:
-        return f
     ring = _common_ring([f, *nonzero])
     packing = _Packing(order, ring.nvars)
     # scaling a divisor leaves every step's cancellation, hence the
@@ -599,10 +597,7 @@ def ideal_membership(f: Polynomial, generators: Sequence[Polynomial]) -> bool:
     """Whether f lies in the ideal the generators span (decided under
     grevlex; the answer does not depend on the order)."""
     order = MonomialOrder.grevlex()
-    basis = buchberger(generators, order)
-    if not basis:
-        return f.is_zero()
-    return normal_form(f, basis, order).is_zero()
+    return normal_form(f, buchberger(generators, order), order).is_zero()
 
 
 def ideal_equal(first: Sequence[Polynomial], second: Sequence[Polynomial]) -> bool:

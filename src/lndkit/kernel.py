@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .derivation import Derivation
 from .errors import NonInvariantCandidateError, SliceError
-from .groebner import RelationIdeal, SubalgebraTester, relation_ideal
+from .groebner import SubalgebraTester, relation_ideal
 from .poly import LaurentElement, Polynomial, RingMap, grlex_key
 
 # How many extra factors of the localized variable to try when testing
@@ -93,8 +93,6 @@ class Slice:
             locs = [loc_var]
         for loc in locs:
             for var in ring.variables:
-                if var == loc:
-                    continue
                 try:
                     return cls.of(derivation, var, loc)
                 except SliceError:
@@ -156,9 +154,12 @@ class RelationCheck:
 
 @dataclass(frozen=True)
 class KernelCheckOutcome:
+    """One kernel_check round: a RelationCheck per relation, each in the
+    relation ideal's tag ring (none when INCONCLUSIVE), and a
+    SufficiencyCheck per ring variable."""
+
     status: KernelStatus
     new_elements: tuple[Polynomial, ...]
-    relations: RelationIdeal | None
     checks: tuple[RelationCheck, ...]
     sufficiency: tuple[SufficiencyCheck, ...]
     notes: tuple[str, ...] = ()
@@ -182,6 +183,10 @@ def kernel_check(
     NEW_GENERATORS with fresh kernel elements otherwise, or INCONCLUSIVE
     when a localized generator could not be pushed into the candidate
     algebra within the division bound.
+
+    Every localized generator is probed, zero and constant ones
+    included (members at shift 0), and every relation is divided and
+    tested, vanishing ones included (quotient 0, represented by 0).
     """
     if division_bound < 0:
         raise ValueError("division_bound must be nonnegative")
@@ -208,9 +213,6 @@ def kernel_check(
     # candidate algebra after finitely many multiplications by loc.
     sufficiency = []
     for name, gen in zip(ring.variables, slice_kernel_generators(slc)):
-        if gen.is_zero() or gen.numerator.is_constant():
-            sufficiency.append(SufficiencyCheck(name, gen, 0))
-            continue
         probe = gen.numerator
         shift = None
         for k in range(division_bound + 1):
@@ -224,7 +226,6 @@ def kernel_check(
         return KernelCheckOutcome(
             KernelStatus.INCONCLUSIVE,
             (),
-            None,
             (),
             tuple(sufficiency),
             (f"localized generators for {failed} stayed outside the "
@@ -240,13 +241,7 @@ def kernel_check(
     checks = []
     fresh = []
     for relation in relations.generators:
-        value = substitute(relation)
-        if value.is_zero():
-            checks.append(
-                RelationCheck(relation, ring.zero(), relations.tag_ring.zero())
-            )
-            continue
-        quotient = value.exact_divide_var(slc.loc_var, 1)
+        quotient = substitute(relation).exact_divide_var(slc.loc_var, 1)
         representation = tester.representation(quotient)
         checks.append(RelationCheck(relation, quotient, representation))
         if representation is None:
@@ -270,7 +265,6 @@ def kernel_check(
     return KernelCheckOutcome(
         status,
         tuple(normalized),
-        relations,
         tuple(checks),
         tuple(sufficiency),
     )

@@ -193,9 +193,9 @@ class Polynomial:
         return iter(self.terms())
 
     def _exponent_shape(self) -> tuple:
-        """For a nonzero polynomial: (largest exponent of each variable,
-        ((i, exponents of variable i that occur), ...) for the variables
-        that occur)."""
+        """(largest exponent of each variable, ((i, exponents of variable
+        i that occur), ...) for the variables that occur); ((), ()) for
+        the zero polynomial."""
         if self._shape is None:
             columns = tuple(zip(*self._num))
             top = tuple(map(max, columns))
@@ -223,9 +223,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms()[0]
 
-    def leading_coefficient(self) -> Fraction:
-        return self.leading_term()[1]
-
     def total_degree(self) -> int:
         """Max total degree of any term; -1 for the zero polynomial."""
         if not self._num:
@@ -238,14 +235,6 @@ class Polynomial:
             return -1
         i = self.ring.index(name)
         return max(m[i] for m in self._num)
-
-    def variables_used(self) -> tuple[str, ...]:
-        used = [
-            v
-            for i, v in enumerate(self.ring.variables)
-            if any(m[i] for m in self._num)
-        ]
-        return tuple(used)
 
     def weighted_degree(self) -> Union[int, "DegreeSpread"]:
         """Weighted degree under the ring's grading.
@@ -263,9 +252,6 @@ class Polynomial:
         if len(degs) == 1:
             return degs.pop()
         return DegreeSpread(min(degs), max(degs))
-
-    def is_homogeneous(self) -> bool:
-        return isinstance(self.weighted_degree(), int)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -376,8 +362,6 @@ class Polynomial:
     def evaluate(self, point: "Point") -> Fraction:
         if point.ring != self.ring:
             raise RingMismatchError("point lives in a different ring")
-        if not self._num:
-            return Fraction(0)
         top, used = self._exponent_shape()
         # with coordinate i = a/b and t = top[i], a term's factor
         # (a/b)^e is a^e * b^(t-e) over the common b^t; the tables hold
@@ -488,12 +472,6 @@ class Point:
     def coordinate(self, name: str) -> Fraction:
         return self.coordinates[self.ring.index(name)]
 
-    def replace(self, name: str, value: Scalar) -> "Point":
-        i = self.ring.index(name)
-        coords = list(self.coordinates)
-        coords[i] = Fraction(value)
-        return Point(self.ring, tuple(coords))
-
 
 class RingMap:
     """Ring homomorphism determined by images of the source variables."""
@@ -540,7 +518,7 @@ class RingMap:
         # image i is N_i / b_i in lowest terms, so its e-th power is
         # N_i^e / b_i^e (Gauss's lemma) and every term's product of
         # powers has a denominator dividing den = prod b_i^top_i
-        top, used = f._exponent_shape() if f else ((), ())
+        top, used = f._exponent_shape()
         den = prod(images[i]._den ** top[i] for i, _ in used)
         powers: dict[tuple[int, int], Polynomial] = {}
         one = self.target.one()
@@ -602,16 +580,6 @@ class LaurentElement:
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.denom_power == 0
-
-    def as_polynomial(self) -> Polynomial:
-        if self.denom_power:
-            raise NotDivisibleError(
-                f"element has denominator {self.denom_var}^{self.denom_power}"
-            )
-        return self.numerator
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Polynomial, int, Fraction)):

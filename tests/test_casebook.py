@@ -91,6 +91,12 @@ def test_context_rejects_bad_wiring(context):
     euler = Derivation.from_mapping(context.ring, {"x": context.ring.var("x")})
     with pytest.raises(ValueError):
         dataclasses.replace(context, derivation=euler)
+    # each slice must belong to its own derivation, not just its ring
+    for name in ("derivation", "quotient_derivation", "folded_derivation"):
+        d = getattr(context, name)
+        doubled = Derivation(d.ring, tuple(2 * g for g in d.images))
+        with pytest.raises(ValueError, match="slice belongs to a different derivation"):
+            dataclasses.replace(context, **{name: doubled})
 
 
 def test_project_point(context):
@@ -145,8 +151,8 @@ def test_report_rendering(report):
     assert lines[-1] == f"{len(EXPECTED_CHECKS)}/{len(EXPECTED_CHECKS)} checks passed"
     assert lines[0].startswith("flows_terminate ")
     assert " ok" in lines[0]
-    payload = json.loads(report.render_json())
-    assert payload == report.to_json_obj()
+    payload = report.to_json_obj()
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["passed"] is True
     assert len(payload["checks"]) == len(EXPECTED_CHECKS)
 
@@ -226,7 +232,7 @@ def test_random_suite_shape():
 def test_random_suite_deterministic():
     first = random_suite(11, 4)
     second = random_suite(11, 4)
-    assert first.render_json() == second.render_json()
+    assert first.to_json_obj() == second.to_json_obj()
 
 
 def test_random_suite_validation():

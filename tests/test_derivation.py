@@ -66,15 +66,6 @@ def triangular_derivations(draw):
     return Derivation(R3, (image(0), image(1), image(2)))
 
 
-def uncached_orbit_point(derivation, value, point):
-    """orbit_point through translate, which derives every iterate anew."""
-    ring = derivation.ring
-    return Point(ring, tuple(
-        derivation.translate(ring.var(v), value).evaluate(point)
-        for v in ring.variables
-    ))
-
-
 def uncached_exponential(derivation, parameter):
     """The images of exponential(parameter), each chain of iterates
     derived anew through iterates."""
@@ -132,6 +123,19 @@ def test_apply_iter():
     assert SHIFT.apply_iter(Y**2, 0) == Y**2
     with pytest.raises(ValueError):
         SHIFT.apply_iter(Y, -1)
+
+
+def test_apply_iter_stops_at_zero(monkeypatch):
+    calls = []
+    apply = Derivation.apply
+    monkeypatch.setattr(
+        Derivation, "apply", lambda self, f: calls.append(f) or apply(self, f)
+    )
+    assert SHIFT.apply_iter(Y**2, 10_000).is_zero()
+    assert len(calls) <= 3  # Y^2 -> 2XY -> 2X^2 -> 0
+    # no nilpotency cap: a derivation that never reaches zero is applied
+    # every time
+    assert EULER.apply_iter(X, 2 * NILPOTENCY_CAP) == X
 
 
 def test_iterates():
@@ -204,16 +208,6 @@ def test_exponential_is_a_ring_map(context):
         assert flow(g) == embed(g)
 
 
-def test_translate_group_law():
-    f = Y**2
-    assert SHIFT.translate(f, 0) == f
-    once = SHIFT.translate(f, Fraction(1, 2))
-    assert once == (Y + Fraction(1, 2) * X) ** 2
-    assert SHIFT.translate(once, Fraction(-1, 2)) == f
-    a, b = Fraction(2, 3), Fraction(-5, 7)
-    assert SHIFT.translate(SHIFT.translate(f, a), b) == SHIFT.translate(f, a + b)
-
-
 def test_orbit_point():
     pt = Point(R2, (2, 1))
     moved = SHIFT.orbit_point(3, pt)
@@ -268,9 +262,8 @@ def test_iterate_cache_matches_uncached(context):
         ]
         for value in (Fraction(0), Fraction(-3), Fraction(5, 7)):
             for point in points:
-                expected = uncached_orbit_point(fresh, value, point)
+                expected = naive_orbit_point(fresh, value, point)
                 assert derivation.orbit_point(value, point) == expected
-                assert naive_orbit_point(fresh, value, point) == expected
         uncached = uncached_exponential(fresh, "r")
         for _ in range(2):
             assert derivation.exponential("r").images == uncached

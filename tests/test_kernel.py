@@ -178,10 +178,29 @@ def test_kernel_check_confirms_quotient(context):
     assert outcome.status is KernelStatus.CONFIRMED
     assert outcome.confirmed
     assert outcome.new_elements == ()
-    assert outcome.relations is not None
+    assert outcome.checks
     assert all(c.shift == 0 for c in outcome.sufficiency)
     for check in outcome.checks:
         assert check.representation is not None
+
+
+def test_kernel_check_zero_projection_and_vanishing_relation(context):
+    # v^2 makes X3^2 - X4 a relation that vanishes on the candidates
+    # themselves, and the slice variable t projects to zero
+    Delta, ring = context.quotient_derivation, context.quotient_ring
+    s, t, u, v = (ring.var(n) for n in ring.variables)
+    outcome = kernel_check(
+        Delta, [s, 2 * s * u - t**2, v, v**2], context.quotient_slice
+    )
+    assert outcome.status is KernelStatus.CONFIRMED
+    tag_ring = outcome.checks[0].relation.ring
+    X3, X4 = tag_ring.var("X3"), tag_ring.var("X4")
+    (vanishing,) = [c for c in outcome.checks if c.relation == X3**2 - X4]
+    assert vanishing.quotient == ring.zero()
+    assert vanishing.representation == tag_ring.zero()
+    (projection,) = [c for c in outcome.sufficiency if c.variable == "t"]
+    assert projection.generator.is_zero()
+    assert projection.shift == 0
 
 
 def test_kernel_check_finds_new_generators(context):
@@ -206,7 +225,7 @@ def test_kernel_check_inconclusive(context):
     )
     assert outcome.status is KernelStatus.INCONCLUSIVE
     assert outcome.new_elements == ()
-    assert outcome.relations is None
+    assert outcome.checks == ()
     assert outcome.notes
     assert any(c.shift is None for c in outcome.sufficiency)
 

@@ -1,0 +1,87 @@
+"""Every public function, class and method of lndkit has a caller.
+
+A public name (no leading underscore) defined in a module of
+src/lndkit, __init__.py excluded, must be referenced by name in the
+code of src/lndkit outside its own definition, or appear as a word in
+perfbench/*.py, README.md or tests/test_acceptance.py.  A name that
+only its own unit test calls is dead weight: delete it with that test.
+References are matched by identifier, not by owner, so a method is
+kept alive by any use of a name it shares.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lndkit"
+
+ALLOWED = {
+    # the only direct check of _spoly, which the Groebner engine runs on
+    # every pair; tests compare it against a reference s-polynomial
+    "s_polynomial",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scan(tree: ast.AST) -> tuple[list[tuple[int, str]], set[str]]:
+    """(line, name) of each public definition, and every identifier
+    referenced outside the definitions that carry that name."""
+    defined: list[tuple[int, str]] = []
+    referenced: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        if isinstance(node, _DEFINITIONS):
+            if not node.name.startswith("_"):
+                defined.append((node.lineno, node.name))
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        else:
+            ident = None
+        if ident is not None and ident not in enclosing:
+            referenced.add(ident)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return defined, referenced
+
+
+def uncalled_public_names() -> list[str]:
+    defined: list[str] = []
+    referenced: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        names, refs = _scan(ast.parse(path.read_text(), str(path)))
+        defined += [f"{path.name}:{line}:{name}" for line, name in names]
+        referenced |= refs
+    outside = [*sorted((ROOT / "perfbench").glob("*.py")),
+               ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    words = set(re.findall(r"\w+", "\n".join(p.read_text() for p in outside)))
+    return [
+        entry for entry in defined
+        if (name := entry.rsplit(":", 1)[1]) not in referenced
+        and name not in words
+        and name not in ALLOWED
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names() == []
+
+
+def test_scan_skips_only_the_defining_scope():
+    tree = ast.parse(
+        "def used():\n    return used()\n"
+        "def caller():\n    return used()\n"
+        "class Holder:\n    def method(self):\n        return self.method()\n"
+    )
+    defined, referenced = _scan(tree)
+    assert [name for _, name in defined] == ["used", "caller", "Holder", "method"]
+    assert "used" in referenced
+    assert "method" not in referenced and "caller" not in referenced
