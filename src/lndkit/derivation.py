@@ -12,11 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Iterator, Mapping
 
-from .errors import NilpotencyCapError, RingMismatchError
-from .poly import LaurentElement, Point, Polynomial, Ring, RingMap, Scalar
+from .errors import ExponentOverflowError, NilpotencyCapError, RingMismatchError
+from .poly import (
+    EXPONENT_CAP,
+    LaurentElement,
+    Point,
+    Polynomial,
+    Ring,
+    RingMap,
+    Scalar,
+)
 
 # Iterated application stops with an error/None after this many steps:
 # iterates raises NilpotencyCapError, nilpotency_index returns None and
@@ -56,15 +65,67 @@ class Derivation:
 
     # -- application ----------------------------------------------------
 
+    @cached_property
+    def _image_table(self) -> tuple[int, tuple[tuple[int, tuple], ...]]:
+        """The nonzero images, read once, over their least common
+        denominator L: (L, ((i, terms), ...)), each term of D(x_i) =
+        N_i / b_i stored as (its exponents with that of x_i lowered by
+        one, numerator * L / b_i).  Adding the stored exponents to those
+        of a term of f that has x_i gives a term of D(x_i) * df/dx_i.
+
+        Kept in the instance dict, outside the dataclass fields, like
+        _variable_iterates.
+        """
+        nonzero = [(i, img) for i, img in enumerate(self.images) if img]
+        den = lcm(*(img._den for _, img in nonzero))
+        table = []
+        for i, img in nonzero:
+            scale = den // img._den
+            terms = tuple(
+                (m[:i] + (m[i] - 1,) + m[i + 1 :], c * scale)
+                for m, c in img._num.items()
+            )
+            table.append((i, terms))
+        return den, tuple(table)
+
+    def _check_cap(self, f: Polynomial) -> None:
+        """Raise ExponentOverflowError where some product D(x_i) *
+        df/dx_i has an exponent above EXPONENT_CAP."""
+        top = f._exponent_shape()[0]
+        peak = max(max(img._exponent_shape()[0], default=0) for img in self.images)
+        if max(top, default=0) + peak <= EXPONENT_CAP:
+            return
+        for i, img in enumerate(self.images):
+            lowered = [m[:i] + (m[i] - 1,) + m[i + 1 :] for m in f._num if m[i]]
+            if img and lowered:
+                for a, b in zip(img._exponent_shape()[0], map(max, zip(*lowered))):
+                    if a + b > EXPONENT_CAP:
+                        raise ExponentOverflowError(
+                            f"exponent {a + b} exceeds cap {EXPONENT_CAP}"
+                        )
+
     def apply(self, f: Polynomial) -> Polynomial:
-        """Apply the derivation once, via the Leibniz rule."""
+        """Apply the derivation once, by the Leibniz rule: the sum over
+        the variables x_i of D(x_i) * df/dx_i, in one pass over the terms
+        of f and of each image, with integer numerators over f's
+        denominator times the lcm of the image denominators.  Builds one
+        Polynomial, the result."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lies outside the ring")
-        total = self.ring.zero()
-        for name, img in zip(self.ring.variables, self.images):
-            if not img.is_zero():
-                total = total + img * f.partial(name)
-        return total
+        self._check_cap(f)
+        den, table = self._image_table
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for mono, coeff in f._num.items():
+            for i, terms in table:
+                e = mono[i]
+                if e:
+                    scale = coeff * e
+                    for m, c in terms:
+                        m = tuple(map(add, mono, m))
+                        acc[m] = get(m, 0) + c * scale
+        out = {m: c for m, c in acc.items() if c}
+        return Polynomial._make(self.ring, out, f._den * den)
 
     def __call__(self, f: Polynomial) -> Polynomial:
         return self.apply(f)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -73,6 +74,31 @@ class Slice:
             f"image of {self.var} is not a monomial in {self.loc_var}: {image}"
         )
 
+    @cached_property
+    def _projections(self) -> tuple[LaurentElement, ...]:
+        """The slice projection of each ring variable, built once.  With
+        D(y) = c * loc**p and K the last nonzero iterate of g, pi(g) is
+        the numerator N_K over loc**(p*K), where N_0 = g and
+        N_k = N_(k-1) * loc**p + D**k(g) * (-y/c)**k / k!.
+
+        Kept in the instance dict, outside the dataclass fields, so
+        equality and hashing do not see it.
+        """
+        ring = self.derivation.ring
+        lift = ring.var(self.loc_var) ** self.power
+        step = ring.var(self.var) * (-1 / self.coefficient)
+        out = []
+        for chain in self.derivation._variable_iterates:
+            numerator = chain[0]
+            weight = ring.one()  # (-y/c)**k / k!
+            for k, iterate in enumerate(chain[1:], start=1):
+                weight = weight * step * Fraction(1, k)
+                numerator = numerator * lift + iterate * weight
+            out.append(
+                LaurentElement(numerator, self.loc_var, self.power * (len(chain) - 1))
+            )
+        return tuple(out)
+
     @classmethod
     def of(cls, derivation: Derivation, var: str, loc_var: str) -> "Slice":
         """The same as Slice(derivation, var, loc_var)."""
@@ -104,23 +130,10 @@ def slice_kernel_generators(slc: Slice) -> tuple[LaurentElement, ...]:
     """Images of the ring variables under the slice projection.
 
     These generate the kernel of the derivation over the localized ring;
-    the entry for the slice variable itself is zero.  With D(y) =
-    c * loc**p and K the last nonzero iterate of g, pi(g) is the
-    numerator N_K over loc**(p*K), where N_0 = g and
-    N_k = N_(k-1) * loc**p + D**k(g) * (-y/c)**k / k!.
+    the entry for the slice variable itself is zero.  Computed once per
+    Slice (Slice._projections).
     """
-    ring = slc.derivation.ring
-    lift = ring.var(slc.loc_var) ** slc.power
-    step = ring.var(slc.var) * (-1 / slc.coefficient)
-    out = []
-    for chain in slc.derivation._variable_iterates:
-        numerator = chain[0]
-        weight = ring.one()  # (-y/c)**k / k!
-        for k, iterate in enumerate(chain[1:], start=1):
-            weight = weight * step * Fraction(1, k)
-            numerator = numerator * lift + iterate * weight
-        out.append(LaurentElement(numerator, slc.loc_var, slc.power * (len(chain) - 1)))
-    return tuple(out)
+    return slc._projections
 
 
 class KernelStatus(Enum):

@@ -3,14 +3,18 @@
 A polynomial is stored as integer numerators keyed by exponent tuple
 over one common denominator, in lowest terms; coefficients are handed
 out as Fractions.  All arithmetic is exact; nothing in this module ever
-rounds.
+rounds.  Only the public constructor Polynomial(ring, terms) checks its
+input; arithmetic, the ring's var/const/zero/one and ring maps build
+their results through the trusted Polynomial._make.
 The canonical term order used for iteration and printing is graded
 lexicographic, descending.
 
 Also provided: ring homomorphisms given by variable images (RingMap),
-rational points (Point), and elements of the localization at a single
-variable (LaurentElement), each a normalized polynomial numerator over
-a power of that variable, with no arithmetic of their own.
+applied term by term into one integer dict with the image powers kept
+on the map; rational points (Point); and elements of the localization
+at a single variable (LaurentElement), each a normalized polynomial
+numerator over a power of that variable, with no arithmetic of their
+own.
 """
 
 from __future__ import annotations
@@ -88,16 +92,18 @@ class Ring:
         """The variable `name` as a polynomial."""
         mono = [0] * self.nvars
         mono[self.index(name)] = 1
-        return Polynomial(self, {tuple(mono): Fraction(1)})
+        return Polynomial._make(self, {tuple(mono): 1})
 
     def const(self, value: Scalar) -> Polynomial:
-        return Polynomial(self, {(0,) * self.nvars: Fraction(value)})
+        c = Fraction(value)
+        num = {(0,) * self.nvars: c.numerator} if c else {}
+        return Polynomial._make(self, num, c.denominator)
 
     def zero(self) -> Polynomial:
-        return Polynomial(self, {})
+        return Polynomial._make(self, {})
 
     def one(self) -> Polynomial:
-        return self.const(1)
+        return Polynomial._make(self, {(0,) * self.nvars: 1})
 
     def monomial(self, exps: Iterable[int], coeff: Scalar = 1) -> Polynomial:
         return Polynomial(self, {tuple(exps): Fraction(coeff)})
@@ -322,14 +328,7 @@ class Polynomial:
                 raise ExponentOverflowError(
                     f"exponent {a + b} exceeds cap {EXPONENT_CAP}"
                 )
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        nums2 = other._num.items()
-        for m1, c1 in self._num.items():
-            for m2, c2 in nums2:
-                mono = tuple(map(add, m1, m2))
-                acc[mono] = get(mono, 0) + c1 * c2
-        out = {m: c for m, c in acc.items() if c}
+        out = _product(self._num.items(), other._num.items())
         return Polynomial._make(self.ring, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -448,6 +447,19 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
+def _product(left: Iterable, right: Iterable) -> dict:
+    """Product of two collections of (exponent tuple, int) terms as an
+    exponent tuple -> nonzero int dict."""
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    right = tuple(right)
+    for m1, c1 in left:
+        for m2, c2 in right:
+            mono = tuple(map(add, m1, m2))
+            acc[mono] = get(mono, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
 @dataclass(frozen=True)
 class DegreeSpread:
     """Degree range of an inhomogeneous polynomial."""
@@ -474,9 +486,17 @@ class Point:
 
 
 class RingMap:
-    """Ring homomorphism determined by images of the source variables."""
+    """Ring homomorphism determined by images of the source variables.
 
-    __slots__ = ("source", "target", "images")
+    apply makes one pass over the terms of its argument and builds one
+    Polynomial, the result.  A zero image drops the term, an image of
+    one term adds its exponents and scales the coefficient, and only
+    images of several terms multiply term dicts.  Each power of an image
+    is computed once, on first use, and kept on the map for every later
+    call.
+    """
+
+    __slots__ = ("source", "target", "images", "_powers")
 
     def __init__(self, source: Ring, target: Ring, images: Iterable[Polynomial]):
         images = tuple(images)
@@ -488,6 +508,7 @@ class RingMap:
         self.source = source
         self.target = target
         self.images = images
+        self._powers: dict[tuple[int, int], tuple[tuple, int]] = {}
 
     @classmethod
     def from_mapping(
@@ -511,29 +532,84 @@ class RingMap:
                 images.append(target.var(name))
         return cls(source, target, images)
 
+    def _power(self, i: int, e: int) -> tuple[tuple, int]:
+        """Image i to the power e >= 1 as (terms, denominator): the
+        (exponent tuple, int) numerator terms over b**e, b the image's
+        denominator.  The image is in lowest terms, so its power is too
+        (Gauss's lemma).  An even power squares its half and an odd one
+        multiplies the power below it by the image; every power made is
+        kept."""
+        power = self._powers.get((i, e))
+        if power is None:
+            image = self.images[i]
+            if e == 1:
+                terms, den = image._num, image._den
+            elif e & 1:
+                terms, den = self._power(i, e - 1)
+                terms, den = _product(terms, image._num.items()), den * image._den
+            else:
+                terms, den = self._power(i, e // 2)
+                terms, den = _product(terms, terms), den * den
+            power = self._powers[i, e] = (tuple(terms.items()), den)
+        return power
+
+    def _check_cap(self, f: Polynomial) -> None:
+        """Raise ExponentOverflowError where some term of f has a product
+        of nonzero image powers with an exponent above EXPONENT_CAP."""
+        images = self.images
+        top, used = f._exponent_shape()
+        peak = {i: max(images[i]._exponent_shape()[0], default=0) for i, _ in used}
+        if sum(peak[i] * top[i] for i in peak) <= EXPONENT_CAP:
+            return
+        for mono in f._num:
+            reach = [0] * self.target.nvars
+            for image, e in zip(images, mono):
+                if e and image:
+                    tops = image._exponent_shape()[0]
+                    reach = [r + t * e for r, t in zip(reach, tops)]
+            if max(reach) > EXPONENT_CAP:
+                raise ExponentOverflowError(
+                    f"exponent {max(reach)} exceeds cap {EXPONENT_CAP}"
+                )
+
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:
             raise RingMismatchError("polynomial lies outside the source ring")
+        self._check_cap(f)
         images = self.images
-        # image i is N_i / b_i in lowest terms, so its e-th power is
-        # N_i^e / b_i^e (Gauss's lemma) and every term's product of
-        # powers has a denominator dividing den = prod b_i^top_i
+        power = self._power
+        # every term's product of powers has a denominator dividing
+        # den = prod b_i^top_i
         top, used = f._exponent_shape()
         den = prod(images[i]._den ** top[i] for i, _ in used)
-        powers: dict[tuple[int, int], Polynomial] = {}
-        one = self.target.one()
+        one = (0,) * self.target.nvars
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
         for mono, coeff in f._num.items():
-            piece = one
+            shift, scale, pden, factors = one, coeff, 1, []
             for i, e in enumerate(mono):
                 if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = images[i] ** e
-                    piece = piece * powers[i, e]
-            scale = coeff * (den // piece._den)
-            for m, c in piece._num.items():
-                acc[m] = get(m, 0) + c * scale
+                    terms, d = power(i, e)
+                    if not terms:
+                        break  # a zero image drops the term
+                    pden *= d
+                    if len(terms) == 1:
+                        ((m, c),) = terms
+                        shift = tuple(map(add, shift, m))
+                        scale *= c
+                    else:
+                        factors.append(terms)
+            else:
+                scale *= den // pden
+                if not factors:
+                    acc[shift] = get(shift, 0) + scale
+                    continue
+                piece = factors[0]
+                for terms in factors[1:]:
+                    piece = _product(piece, terms).items()
+                for m, c in piece:
+                    m = tuple(map(add, m, shift))
+                    acc[m] = get(m, 0) + c * scale
         out = {m: c for m, c in acc.items() if c}
         return Polynomial._make(self.target, out, den * f._den)
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import oracles
 from lndkit import (
     Derivation,
+    ExponentOverflowError,
     LaurentElement,
     NILPOTENCY_CAP,
     NilpotencyCapError,
@@ -50,6 +51,19 @@ def polynomials(draw, ring=R2, max_terms=4, max_exp=3):
             draw(st.integers(min_value=1, max_value=9)),
         )
     return Polynomial(ring, terms)
+
+
+def images(ring):
+    """Zero, one-term and several-term polynomials, with fractional
+    coefficients: the three kinds of variable image."""
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * ring.nvars), small_fractions.filter(bool)
+    )
+    return st.one_of(
+        st.just(ring.zero()),
+        term.map(lambda t: Polynomial(ring, dict([t]))),
+        polynomials(ring, max_terms=4),
+    )
 
 
 @st.composite
@@ -109,6 +123,39 @@ def test_apply():
     assert SHIFT(R2.const(7)).is_zero()
     with pytest.raises(RingMismatchError):
         SHIFT(Ring(("z",)).var("z"))
+
+
+@given(
+    st.tuples(images(R3), images(R3), images(R3)),
+    polynomials(R3, max_terms=5, max_exp=4),
+)
+def test_apply_matches_naive_oracle(imgs, f):
+    got = Derivation(R3, imgs).apply(f)
+    assert got.term_dict() == oracles.naive_apply(
+        [g.term_dict() for g in imgs], f.term_dict()
+    )
+
+
+def test_apply_matches_naive_oracle_on_D(context):
+    D = context.derivation
+    f = parse_polynomial("s^2*t - 1/2*x*u*v^3 + 3", D.ring)
+    want = parse_polynomial(
+        "2*x^3*s*t + s^3 - 1/2*x*t*v^3 - 3/2*x^3*u*v^2", D.ring
+    )
+    assert D.apply(f) == want
+    assert want.term_dict() == oracles.naive_apply(
+        [g.term_dict() for g in D.images], f.term_dict()
+    )
+
+
+def test_exponent_cap_on_apply():
+    # D(x_i) * df/dx_i past the cap raises even though apply builds no
+    # product Polynomial
+    with pytest.raises(ExponentOverflowError):
+        Derivation(R2, (R2.zero(), X**40000))(X**30000 * Y)
+    assert Derivation(R2, (R2.zero(), X**32768))(X**32768 * Y) == X**65536
+    # df/dy = 1 has no x, so the product stays at x^40000
+    assert Derivation(R2, (R2.zero(), X**40000))(X**60000 + Y) == X**40000
 
 
 @given(polynomials(), polynomials())

@@ -119,6 +119,17 @@ def test_slice_kernel_generators_main(context):
     assert got[4] == LaurentElement(f[3], "x", 1)
 
 
+def test_slice_projections_are_built_once(context):
+    derivation = Derivation(context.derivation.ring, context.derivation.images)
+    slc = Slice(derivation, "s", "x")
+    first = slice_kernel_generators(slc)
+    assert slice_kernel_generators(slc) is first
+    assert kernel_compute(derivation, slc, 1).outcomes[0].sufficiency[4].generator is first[4]
+    # the cached projections stay outside equality and hashing
+    assert slc == context.kernel_slice and hash(slc) == hash(context.kernel_slice)
+    assert first == slice_kernel_generators(Slice(derivation, "s", "x"))
+
+
 R4 = Ring(("x", "s", "y", "z"))
 small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
@@ -315,6 +326,27 @@ def test_round_three_membership_work(growth3, monkeypatch):
     assert len(quotients) == 52 and len(fresh) == 40
     assert len(tester._engine.basis) < 100
     assert len(finds) < 25000
+
+
+def test_kernel_compute_polynomial_work(context, monkeypatch):
+    # RingMap.apply and Derivation.apply build only their results, and
+    # the ring constructors build through _make: 475 Polynomials, against
+    # 3367 when every power, partial product, partial derivative and
+    # partial sum was one.  Fresh objects, so no cached projection or
+    # image table from another test is reused.
+    made = []
+    make = Polynomial._make.__func__
+
+    def counted(cls, ring, num, den=1):
+        made.append(ring)
+        return make(cls, ring, num, den)
+
+    derivation = Derivation(context.derivation.ring, context.derivation.images)
+    slc = Slice(derivation, "s", "x")
+    monkeypatch.setattr(Polynomial, "_make", classmethod(counted))
+    result = kernel_compute(derivation, slc, 3)
+    assert result.counts == (4, 7, 13, 41)
+    assert len(made) < 500
 
 
 def test_minimize_strips_redundant_generators(context):

@@ -53,6 +53,19 @@ def polynomials(draw, ring=R3, max_terms=4, max_exp=3):
     return Polynomial(ring, terms)
 
 
+def images(ring):
+    """Zero, one-term and several-term polynomials, with fractional
+    coefficients: the three kinds of variable image."""
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * ring.nvars), small_fractions.filter(bool)
+    )
+    return st.one_of(
+        st.just(ring.zero()),
+        term.map(lambda t: Polynomial(ring, dict([t]))),
+        polynomials(ring, max_terms=3, max_exp=2),
+    )
+
+
 @st.composite
 def points(draw, ring=R3):
     return Point(ring, tuple(draw(small_fractions) for _ in range(ring.nvars)))
@@ -131,6 +144,22 @@ def test_exponent_cap_on_arithmetic():
     with pytest.raises(ExponentOverflowError):
         at_cap * X
     assert (at_cap * Y).degree_in("x") == EXPONENT_CAP
+
+
+def test_exponent_cap_on_ring_maps():
+    # a term's power of an image, or its product of image powers, past
+    # the cap raises even when the map builds no product Polynomial
+    with pytest.raises(ExponentOverflowError):
+        RingMap(R2, R2, [A**40000, B])(A**2)
+    with pytest.raises(ExponentOverflowError):
+        RingMap(R3, R3, [X**30000 + Y, X**40000 - 1, Z])(X * Y + Z)
+    # wherever a zero image sits in the term
+    for imgs in ([R3.zero(), X**40000, X**40000], [X**40000, X**40000, R3.zero()]):
+        with pytest.raises(ExponentOverflowError):
+            RingMap(R3, R3, imgs)(X * Y * Z)
+    assert RingMap(R2, R2, [A**32768, B])(A**2) == A**EXPONENT_CAP
+    # each term stays under the cap, though the sum of tops would not
+    assert RingMap(R2, R2, [A**40000, B])(A + B**60000) == A**40000 + B**60000
 
 
 def test_zero_coefficients_dropped():
@@ -455,17 +484,38 @@ def test_ring_map_is_a_homomorphism(a, b):
     [A * Fraction(1, 2) + B * Fraction(1, 3), R2.const(Fraction(3, 4)),
      B * Fraction(1, 5) - 1],
 )
+@example(
+    X**3 * Y - X * Z**2 * Fraction(5, 2) + 1,
+    [A**2 * B * Fraction(-2, 3), R2.zero(), A * Fraction(1, 2) - B**2],
+)
 @given(
     polynomials(max_terms=5, max_exp=3),
-    st.lists(polynomials(R2, max_terms=3, max_exp=2), min_size=3, max_size=3),
+    st.lists(images(R2), min_size=3, max_size=3),
 )
-def test_ring_map_matches_naive_oracle(f, images):
-    got = RingMap(R3, R2, images)(f)
+def test_ring_map_matches_naive_oracle(f, imgs):
+    got = RingMap(R3, R2, imgs)(f)
     want = oracles.naive_substitute(
-        [g.term_dict() for g in images], f.term_dict(), R2.nvars
+        [g.term_dict() for g in imgs], f.term_dict(), R2.nvars
     )
     assert got.term_dict() == want
     assert stored_terms_are_clean(got)
+
+
+@given(
+    st.lists(polynomials(max_terms=4, max_exp=4), min_size=2, max_size=5),
+    st.lists(images(R2), min_size=3, max_size=3),
+)
+def test_ring_map_reuses_its_powers(fs, imgs):
+    # one map applied in turn to every f, so later calls read the image
+    # powers that earlier ones kept; a stale power shows against a
+    # fresh map and against the oracle
+    link = RingMap(R3, R2, imgs)
+    for f in fs:
+        got = link(f)
+        assert got == RingMap(R3, R2, imgs)(f)
+        assert got.term_dict() == oracles.naive_substitute(
+            [g.term_dict() for g in imgs], f.term_dict(), R2.nvars
+        )
 
 
 # -- LaurentElement ---------------------------------------------------------
