@@ -30,7 +30,7 @@ from .groebner import (
     relation_ideal,
     subalgebra_membership,
 )
-from .kernel import DIVISION_BOUND, KernelStatus, Slice, kernel_check, kernel_compute
+from .kernel import Slice, kernel_check, kernel_compute
 from .parse import _integer, _rational_text, parse_polynomial, print_canonical
 from .poly import Point, Ring
 
@@ -253,20 +253,13 @@ def _cmd_kernel_check(args) -> int:
     derivation = _derivation_from(args)
     slc = _make_slice(args, derivation)
     candidates = [parse_polynomial(text, derivation.ring) for text in args.exprs]
-    outcome = kernel_check(
-        derivation, candidates, slc, division_bound=args.division_bound
-    )
+    outcome = kernel_check(derivation, candidates, slc)
     new = [print_canonical(g) for g in outcome.new_elements]
     lines = [f"status: {outcome.status.value}"]
     lines.extend(f"new: {text}" for text in new)
-    lines.extend(f"note: {note}" for note in outcome.notes)
-    payload = {
-        "status": outcome.status.value,
-        "new_generators": new,
-        "notes": list(outcome.notes),
-    }
+    payload = {"status": outcome.status.value, "new_generators": new}
     _emit(args, payload, "\n".join(lines))
-    return 0 if outcome.status is KernelStatus.CONFIRMED else 1
+    return 0 if outcome.confirmed else 1
 
 
 def _cmd_kernel_compute(args) -> int:
@@ -433,11 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         "generators (exit 0 only when they provably generate the kernel)",
     )
     p.add_argument("exprs", nargs="+", help="candidate kernel generators")
-    p.add_argument(
-        "--division-bound", type=int, default=DIVISION_BOUND,
-        help="extra factors of the localized variable to try in the "
-        "sufficiency test (default %(default)s)",
-    )
     p.set_defaults(func=_cmd_kernel_check)
 
     p = sub.add_parser(

@@ -11,14 +11,17 @@ generators of the localized kernel (slice_kernel_generators).  Over the
 common denominator loc**(p*K), K the last nonzero iterate, pi(g) is one
 polynomial numerator, built by Horner's rule in loc**p from the cached
 iterates of g; no localized arithmetic is needed.  To pass
-from the localized kernel to the honest one, kernel_check runs the
-reduce-and-divide loop: compute the relations of the candidate
-generators modulo loc, substitute the candidates back into each
-relation, divide by loc once, and test membership in the candidate
-subalgebra.  Fresh quotients that fail membership are new kernel
-elements; a round with no failures certifies that the candidates
-generate the kernel.  kernel_compute iterates rounds until that
-certificate appears or a round budget runs out.
+from the localized kernel to the honest one, kernel_check runs one
+round of van den Essen's reduce-and-divide test on a candidate
+subalgebra A.  Each numerator N of a localized generator is invariant
+(D(N) = loc**k * D(pi(g)) = 0), so an N outside A is a new kernel
+element.  Then the relations of the candidates modulo loc are
+computed, the candidates substituted back into each relation, the
+result divided by loc once, and each quotient tested for membership in
+A.  Numerators and quotients outside A are the new kernel elements; a
+round without any certifies that the candidates generate the kernel.
+kernel_compute iterates rounds until that certificate appears or a
+round budget runs out.
 """
 
 from __future__ import annotations
@@ -33,12 +36,6 @@ from .derivation import Derivation
 from .errors import NonInvariantCandidateError, SliceError
 from .groebner import SubalgebraTester, relation_ideal
 from .poly import LaurentElement, Polynomial, RingMap, grlex_key
-
-# How many extra factors of the localized variable to try when testing
-# that a localized kernel generator already lies in the candidate
-# algebra.
-DIVISION_BOUND = 16
-
 
 @dataclass(frozen=True)
 class Slice:
@@ -108,7 +105,8 @@ class Slice:
     def infer(cls, derivation: Derivation, loc_var: str | None = None) -> "Slice":
         """First variable (ring order) whose image is a monomial in an
         invariant variable.  Tries every invariant variable as the
-        localizer unless one is named."""
+        localizer unless one is named; a named one that is not invariant
+        raises SliceError saying so."""
         ring = derivation.ring
         if loc_var is None:
             locs = [
@@ -122,7 +120,8 @@ class Slice:
                 try:
                     return cls.of(derivation, var, loc)
                 except SliceError:
-                    continue
+                    if not derivation.image(loc).is_zero():
+                        raise
         raise SliceError("no slice variable found")
 
 
@@ -139,20 +138,16 @@ def slice_kernel_generators(slc: Slice) -> tuple[LaurentElement, ...]:
 class KernelStatus(Enum):
     CONFIRMED = "confirmed"
     NEW_GENERATORS = "new-generators"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
 class SufficiencyCheck:
-    """Record of one localized-generator containment test.
-
-    shift is the least k with numerator * loc**k inside the candidate
-    algebra, or None if the bound was exhausted.
-    """
+    """Record of one localized-generator containment test: whether the
+    numerator of the generator lies in the candidate algebra."""
 
     variable: str
     generator: LaurentElement
-    shift: int | None
+    member: bool
 
 
 @dataclass(frozen=True)
@@ -167,42 +162,42 @@ class RelationCheck:
 
 @dataclass(frozen=True)
 class KernelCheckOutcome:
-    """One kernel_check round: a RelationCheck per relation, each in the
-    relation ideal's tag ring (none when INCONCLUSIVE), and a
-    SufficiencyCheck per ring variable."""
+    """One kernel_check round: the new kernel elements, a RelationCheck
+    per relation, each in the relation ideal's tag ring, and a
+    SufficiencyCheck per ring variable.  The round is CONFIRMED exactly
+    when there are no new elements."""
 
-    status: KernelStatus
     new_elements: tuple[Polynomial, ...]
     checks: tuple[RelationCheck, ...]
     sufficiency: tuple[SufficiencyCheck, ...]
-    notes: tuple[str, ...] = ()
+
+    @property
+    def status(self) -> KernelStatus:
+        if self.new_elements:
+            return KernelStatus.NEW_GENERATORS
+        return KernelStatus.CONFIRMED
 
     @property
     def confirmed(self) -> bool:
-        return self.status is KernelStatus.CONFIRMED
+        return not self.new_elements
 
 
 def kernel_check(
-    derivation: Derivation,
-    candidates: Sequence[Polynomial],
-    slc: Slice,
-    *,
-    division_bound: int = DIVISION_BOUND,
+    derivation: Derivation, candidates: Sequence[Polynomial], slc: Slice
 ) -> KernelCheckOutcome:
     """One round of the reduce-and-divide kernel test, localized at the
     given slice of the same derivation (Slice.infer finds one).
 
     Returns CONFIRMED when the candidates provably generate the kernel,
-    NEW_GENERATORS with fresh kernel elements otherwise, or INCONCLUSIVE
-    when a localized generator could not be pushed into the candidate
-    algebra within the division bound.
+    NEW_GENERATORS with fresh kernel elements otherwise.  The new
+    elements are the numerators of localized generators and the
+    relation quotients that lie outside the candidate algebra, made
+    primitive, without repeats, in grlex order.
 
     Every localized generator is probed, zero and constant ones
-    included (members at shift 0), and every relation is divided and
-    tested, vanishing ones included (quotient 0, represented by 0).
+    included (members), and every relation is divided and tested,
+    vanishing ones included (quotient 0, represented by 0).
     """
-    if division_bound < 0:
-        raise ValueError("division_bound must be nonnegative")
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("at least one candidate required")
@@ -222,28 +217,13 @@ def kernel_check(
 
     tester = SubalgebraTester(candidates)
 
-    # Sufficiency: every localized kernel generator must reach the
-    # candidate algebra after finitely many multiplications by loc.
-    sufficiency = []
-    for name, gen in zip(ring.variables, slice_kernel_generators(slc)):
-        probe = gen.numerator
-        shift = None
-        for k in range(division_bound + 1):
-            if tester.contains(probe):
-                shift = k
-                break
-            probe = probe * loc_poly
-        sufficiency.append(SufficiencyCheck(name, gen, shift))
-    failed = [c.variable for c in sufficiency if c.shift is None]
-    if failed:
-        return KernelCheckOutcome(
-            KernelStatus.INCONCLUSIVE,
-            (),
-            (),
-            tuple(sufficiency),
-            (f"localized generators for {failed} stayed outside the "
-             f"candidate algebra through {division_bound} extra factors of {slc.loc_var}",),
-        )
+    # Sufficiency: the numerator of every localized kernel generator is
+    # invariant, so one outside the candidate algebra is a new element.
+    sufficiency = tuple(
+        SufficiencyCheck(name, gen, tester.contains(gen.numerator))
+        for name, gen in zip(ring.variables, slice_kernel_generators(slc))
+    )
+    fresh = [c.generator.numerator for c in sufficiency if not c.member]
 
     # Relations of the candidates modulo loc, then divide and retest.
     reduce_map = RingMap.from_mapping(ring, ring, {slc.loc_var: ring.zero()})
@@ -252,7 +232,6 @@ def kernel_check(
     substitute = RingMap(relations.tag_ring, ring, candidates)
 
     checks = []
-    fresh = []
     for relation in relations.generators:
         quotient = substitute(relation).exact_divide_var(slc.loc_var, 1)
         representation = tester.representation(quotient)
@@ -273,22 +252,18 @@ def kernel_check(
             seen.add(p)
             normalized.append(p)
     normalized.sort(key=lambda p: (grlex_key(p.leading_term()[0]), str(p)))
-
-    status = KernelStatus.CONFIRMED if not normalized else KernelStatus.NEW_GENERATORS
-    return KernelCheckOutcome(
-        status,
-        tuple(normalized),
-        tuple(checks),
-        tuple(sufficiency),
-    )
+    return KernelCheckOutcome(tuple(normalized), tuple(checks), sufficiency)
 
 
 @dataclass(frozen=True)
 class KernelComputeResult:
-    stabilized: bool
     generators: tuple[Polynomial, ...]
     counts: tuple[int, ...]  # candidate count at the seed and after each round
     outcomes: tuple[KernelCheckOutcome, ...]
+
+    @property
+    def stabilized(self) -> bool:
+        return self.outcomes[-1].confirmed
 
     @property
     def rounds(self) -> int:
@@ -319,12 +294,8 @@ def kernel_compute(
     of the derivation (Slice.infer finds one), adjoining new elements,
     until it certifies the candidates or max_rounds rounds have run.
 
-    Every localized generator's numerator is a constant or a scalar
-    multiple of a seed, and candidates only grow, so every sufficiency
-    probe is a member at shift 0 and no round is INCONCLUSIVE; the
-    division bound of kernel_check never comes into play.  A stabilized
-    result is a proven generating set of the kernel, greedily
-    minimized.  An unstabilized result reports the candidates
+    A stabilized result is a proven generating set of the kernel,
+    greedily minimized.  An unstabilized result reports the candidates
     accumulated so far.
     """
     if max_rounds < 1:
@@ -337,13 +308,12 @@ def kernel_compute(
         outcomes.append(outcome)
         candidates.extend(outcome.new_elements)
         counts.append(len(candidates))
-        if outcome.status is not KernelStatus.NEW_GENERATORS:
+        if outcome.confirmed:
             break
-    stabilized = outcomes[-1].confirmed
     generators = tuple(candidates)
-    if stabilized:
+    if outcomes[-1].confirmed:
         generators = _minimize(generators)
-    return KernelComputeResult(stabilized, generators, tuple(counts), tuple(outcomes))
+    return KernelComputeResult(generators, tuple(counts), tuple(outcomes))
 
 
 def _minimize(generators: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:

@@ -105,10 +105,6 @@ class Ring:
     def one(self) -> Polynomial:
         return Polynomial._make(self, {(0,) * self.nvars: 1})
 
-    def monomial(self, exps: Iterable[int], coeff: Scalar = 1) -> Polynomial:
-        return Polynomial(self, {tuple(exps): Fraction(coeff)})
-
-
 def _is_identifier(name: str) -> bool:
     if not name:
         return False

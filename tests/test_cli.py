@@ -251,6 +251,23 @@ def test_kernel_check_new_generators(capsys):
     assert "new: 2*x^2*t + x*v^2 - 2*s*v" in lines
 
 
+def test_kernel_check_json_keys(capsys):
+    assert run(["kernel-check", "--format", "json", "x", "x*v - s"]) == 1
+    payload = json.loads(out(capsys))
+    assert set(payload) == {"status", "new_generators"}
+
+
+def test_kernel_check_numerators_outside_the_algebra(capsys):
+    # the numerators of pi(t) and pi(u) are not in k[x, x*v - s]
+    assert run(["kernel-check", "x", "x*v - s"]) == 1
+    lines = out(capsys).splitlines()
+    assert lines == [
+        "status: new-generators",
+        "new: 2*x^3*t - s^2",
+        "new: 3*x^6*u - 3*x^3*s*t + s^3",
+    ]
+
+
 def test_kernel_check_non_invariant_candidate(capsys):
     assert run(["kernel-check", "x", "t"]) == 2
     assert err(capsys).startswith("error:")
@@ -426,8 +443,10 @@ def test_bad_arguments_exit_2(argv, capsys):
         ),
         (
             ["kernel-check", "--division-bound", "-1", *KERNEL_CANDIDATES],
-            "division_bound must be nonnegative",
+            "unrecognized arguments: --division-bound",
         ),
+        (["kernel-check", "--loc", "s", "x"], "localized variable s is not invariant"),
+        (["kernel-compute", "--loc", "v"], "localized variable v is not invariant"),
     ],
     ids=[
         "at-duplicate-variable",
@@ -435,6 +454,8 @@ def test_bad_arguments_exit_2(argv, capsys):
         "order-elim-without-block",
         "order-elim-larger-than-ring",
         "kernel-check-negative-bound",
+        "kernel-check-loc-not-invariant",
+        "kernel-compute-loc-not-invariant",
     ],
 )
 def test_bad_argument_message_names_the_piece(argv, message, capsys):

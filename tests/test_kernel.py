@@ -65,8 +65,10 @@ def test_slice_infer(context):
     assert Slice.infer(context.quotient_derivation, "s") == context.quotient_slice
     ring = Ring(("x", "y"))
     swap = Derivation.from_mapping(ring, {"x": ring.var("y"), "y": ring.var("x")})
-    with pytest.raises(SliceError):
+    with pytest.raises(SliceError, match="no slice variable found"):
         Slice.infer(swap)
+    with pytest.raises(SliceError, match="localized variable s is not invariant"):
+        Slice.infer(context.derivation, "s")
 
 
 def sigma(slc):
@@ -147,7 +149,7 @@ def sliced_derivations(draw):
 
     c = draw(small_fractions.filter(bool))
     p = draw(st.integers(0, 3))
-    return Derivation(R4, (R4.zero(), R4.monomial((p, 0, 0, 0), c), image(2), image(3)))
+    return Derivation(R4, (R4.zero(), Polynomial(R4, {(p, 0, 0, 0): c}), image(2), image(3)))
 
 
 @given(sliced_derivations())
@@ -190,7 +192,7 @@ def test_kernel_check_confirms_quotient(context):
     assert outcome.confirmed
     assert outcome.new_elements == ()
     assert outcome.checks
-    assert all(c.shift == 0 for c in outcome.sufficiency)
+    assert all(c.member for c in outcome.sufficiency)
     for check in outcome.checks:
         assert check.representation is not None
 
@@ -211,7 +213,7 @@ def test_kernel_check_zero_projection_and_vanishing_relation(context):
     assert vanishing.representation == tag_ring.zero()
     (projection,) = [c for c in outcome.sufficiency if c.variable == "t"]
     assert projection.generator.is_zero()
-    assert projection.shift == 0
+    assert projection.member
 
 
 def test_kernel_check_finds_new_generators(context):
@@ -226,19 +228,41 @@ def test_kernel_check_finds_new_generators(context):
         assert not SubalgebraTester(f[:4]).contains(p)
 
 
-def test_kernel_check_inconclusive(context):
+def _assert_new_elements_are_new(derivation, candidates, outcome):
+    for p in outcome.new_elements:
+        assert derivation(p).is_zero()
+        assert not oracles.brute_member(p, list(candidates))
+
+
+def test_kernel_check_adjoins_numerators_outside_the_algebra(context):
+    # the numerators of pi(t) and pi(u) lie outside k[f1, f4]: they are
+    # new kernel elements, and the relation step still runs
     f = context.generators
-    outcome = kernel_check(
-        context.derivation,
-        [f[0], f[3]],
-        context.kernel_slice,
-        division_bound=0,
-    )
-    assert outcome.status is KernelStatus.INCONCLUSIVE
-    assert outcome.new_elements == ()
-    assert outcome.checks == ()
-    assert outcome.notes
-    assert any(c.shift is None for c in outcome.sufficiency)
+    candidates = [f[0], f[3]]
+    outcome = kernel_check(context.derivation, candidates, context.kernel_slice)
+    assert outcome.status is KernelStatus.NEW_GENERATORS
+    assert [str(p) for p in outcome.new_elements] == [
+        "2*x^3*t - s^2",
+        "3*x^6*u - 3*x^3*s*t + s^3",
+    ]
+    assert [c.variable for c in outcome.sufficiency if not c.member] == ["t", "u"]
+    assert outcome.checks
+    _assert_new_elements_are_new(context.derivation, candidates, outcome)
+
+
+def test_kernel_check_numerator_needing_a_factor_of_loc(context):
+    # f2, the numerator of pi(t), lies outside k[f1, x*f2, f3, f4] while
+    # x*f2 lies inside: f2 is new, next to a relation quotient
+    f = context.generators
+    candidates = [f[0], context.ring.var("x") * f[1], f[2], f[3]]
+    outcome = kernel_check(context.derivation, candidates, context.kernel_slice)
+    assert outcome.status is KernelStatus.NEW_GENERATORS
+    assert [str(p) for p in outcome.new_elements] == [
+        "2*x^3*t - s^2",
+        "3*x^5*u + x^2*v^3 - 3*x^2*s*t - 3*x*s*v^2 + 3*s^2*v",
+    ]
+    assert [c.variable for c in outcome.sufficiency if not c.member] == ["t"]
+    _assert_new_elements_are_new(context.derivation, candidates, outcome)
 
 
 def test_kernel_check_input_validation(context):
@@ -258,8 +282,6 @@ def test_kernel_check_input_validation(context):
     with pytest.raises(NonInvariantCandidateError) as info:
         kernel_check(D, [f[0], context.ring.var("t")], context.kernel_slice)
     assert info.value.witness == context.ring.var("s")
-    with pytest.raises(ValueError, match="division_bound"):
-        kernel_check(D, f[:4], context.kernel_slice, division_bound=-1)
 
 
 # -- kernel_compute ----------------------------------------------------------------
@@ -368,7 +390,7 @@ def test_seeded_rounds_shift_zero(growth3, context):
     for result in (growth3, delta, delta_prime):
         for outcome in result.outcomes:
             assert outcome.sufficiency
-            assert all(c.shift == 0 for c in outcome.sufficiency)
+            assert all(c.member for c in outcome.sufficiency)
 
 
 def test_kernel_compute_validation(context):

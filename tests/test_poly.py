@@ -109,7 +109,6 @@ def test_ring_accessors():
     assert R3.const(Fraction(2, 3)).constant_term() == Fraction(2, 3)
     assert R3.zero().is_zero()
     assert R3.one() == 1
-    assert R3.monomial((1, 2, 0), 5) == 5 * X * Y**2
 
 
 def test_underscore_names_allowed():

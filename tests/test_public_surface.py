@@ -3,8 +3,10 @@
 A public name (no leading underscore) defined in a module of
 src/lndkit, __init__.py excluded, must be referenced by name in the
 code of src/lndkit outside its own definition, or appear as a word in
-perfbench/*.py, README.md or tests/test_acceptance.py.  A name that
-only its own unit test calls is dead weight: delete it with that test.
+perfbench/*.py, tests/test_acceptance.py, or the code of README.md
+(its fenced blocks and backtick spans; a prose word such as "monomial"
+names no method).  A name that only its own unit test calls is dead
+weight: delete it with that test.
 References are matched by identifier, not by owner, so a method is
 kept alive by any use of a name it shares.
 """
@@ -23,6 +25,13 @@ ALLOWED = {
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+
+
+def markdown_code(text: str) -> str:
+    """The fenced code blocks and backtick spans of a Markdown text."""
+    prose = _FENCE.sub("", text)
+    return "\n".join(_FENCE.findall(text) + re.findall(r"`([^`\n]+)`", prose))
 
 
 def _scan(tree: ast.AST) -> tuple[list[tuple[int, str]], set[str]]:
@@ -61,8 +70,10 @@ def uncalled_public_names() -> list[str]:
         defined += [f"{path.name}:{line}:{name}" for line, name in names]
         referenced |= refs
     outside = [*sorted((ROOT / "perfbench").glob("*.py")),
-               ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
-    words = set(re.findall(r"\w+", "\n".join(p.read_text() for p in outside)))
+               ROOT / "tests" / "test_acceptance.py"]
+    texts = [p.read_text() for p in outside]
+    texts.append(markdown_code((ROOT / "README.md").read_text()))
+    words = set(re.findall(r"\w+", "\n".join(texts)))
     return [
         entry for entry in defined
         if (name := entry.rsplit(":", 1)[1]) not in referenced
@@ -85,3 +96,13 @@ def test_scan_skips_only_the_defining_scope():
     assert [name for _, name in defined] == ["used", "caller", "Holder", "method"]
     assert "used" in referenced
     assert "method" not in referenced and "caller" not in referenced
+
+
+def test_markdown_code_skips_prose():
+    text = (
+        "a monomial in `loc` and\n"
+        "```python\nRing.one()\n```\n"
+        "more prose with `kernel_check`.\n"
+    )
+    words = set(re.findall(r"\w+", markdown_code(text)))
+    assert words == {"loc", "Ring", "one", "kernel_check"}
