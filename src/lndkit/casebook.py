@@ -203,7 +203,7 @@ def builtin_context() -> PaperContext:
 
 
 class Stratum(Enum):
-    """Where a point sits relative to the two localizing variables.
+    """Where a point sits relative to the localizing variables x and s.
 
     X_NONZERO: the slice picture applies directly.
     X_ZERO_S_NONZERO: governed by the quotient picture.
@@ -215,7 +215,7 @@ class Stratum(Enum):
     X_ZERO_S_ZERO = "x-zero-s-zero"
 
 
-def stratum_of(context: PaperContext, point: Point) -> Stratum:
+def stratum_of(point: Point) -> Stratum:
     if point.coordinate("x") != 0:
         return Stratum.X_NONZERO
     if point.coordinate("s") != 0:
@@ -472,9 +472,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     add(_check("fold_preserves_grading", fold_preserves_grading))
 
     def quotient_kernel_confirmed() -> str | None:
-        outcome = kernel_check(
-            context.quotient_derivation, context.quotient_kernel, context.quotient_slice
-        )
+        outcome = kernel_check(context.quotient_kernel, context.quotient_slice)
         return _expect(
             outcome.status is KernelStatus.CONFIRMED,
             f"status {outcome.status.value}",
@@ -495,9 +493,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     add(_check("quotient_kernel_computed", quotient_kernel_computed))
 
     def folded_kernel_confirmed() -> str | None:
-        outcome = kernel_check(
-            context.folded_derivation, context.folded_generators, context.folded_slice
-        )
+        outcome = kernel_check(context.folded_generators, context.folded_slice)
         return _expect(
             outcome.status is KernelStatus.CONFIRMED,
             f"status {outcome.status.value}",
@@ -553,7 +549,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     add(_check("membership_representation", membership_representation))
 
     def kernel_check_extends() -> str | None:
-        outcome = kernel_check(D, f[:4], context.kernel_slice)
+        outcome = kernel_check(f[:4], context.kernel_slice)
         if outcome.status is not KernelStatus.NEW_GENERATORS:
             return f"status {outcome.status.value}"
         expected = tuple(
@@ -601,7 +597,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     def core_stratum_inseparable() -> str | None:
         p = Point(ring, (0, 0, 3, 5, 7))
         q = Point(ring, (0, 0, -1, 2, 7))
-        if stratum_of(context, p) is not Stratum.X_ZERO_S_ZERO:
+        if stratum_of(p) is not Stratum.X_ZERO_S_ZERO:
             return "stratum misclassified"
         if any(separating_values(context, p)) or any(separating_values(context, q)):
             return "an invariant is nonzero on the x = s = 0 stratum"

@@ -6,6 +6,11 @@ ideal and subalgebra questions, kernel-check/kernel-compute for the
 kernel machinery, and `paper verify` / `paper random` for the bundled
 case's verification suites.
 
+eval, groebner, relations and member work in the ring that --ring and
+--weights define (the bundled five-variable ring by default).  The
+derivation commands take no ring options: their ring is the one of
+the --derivation they load.
+
 Exit codes: 0 on success (and for passing verifications), 1 when a
 verification or membership test comes back negative, 2 on usage,
 parse, or input errors.
@@ -53,13 +58,13 @@ def _rational(text: str) -> Fraction:
 
 
 def _ring_from(args) -> Ring:
-    if getattr(args, "ring", None) is None:
-        if getattr(args, "weights", None) is not None:
+    if args.ring is None:
+        if args.weights is not None:
             raise InputError("--weights requires --ring")
         return builtin_context().ring
     names = tuple(_split_csv(args.ring))
     weights = None
-    if getattr(args, "weights", None) is not None:
+    if args.weights is not None:
         pieces = _split_csv(args.weights)
         if not all(piece.isdecimal() for piece in pieces):
             raise InputError(f"bad --weights list: {args.weights!r}")
@@ -82,19 +87,9 @@ def _derivation_from(args) -> Derivation:
                 f"unknown builtin derivation {name!r}; "
                 f"choose from {', '.join(table)}"
             )
-        derivation = table[name]
-    else:
-        with open(spec, encoding="utf-8") as handle:
-            data = json.load(handle)
-        derivation = _derivation_from_json(data)
-    if getattr(args, "ring", None) is not None:
-        declared = _ring_from(args)
-        if declared != derivation.ring:
-            raise InputError(
-                f"--ring {declared.variables} does not match the "
-                f"derivation's ring {derivation.ring.variables}"
-            )
-    return derivation
+        return table[name]
+    with open(spec, encoding="utf-8") as handle:
+        return _derivation_from_json(json.load(handle))
 
 
 def _derivation_from_json(data) -> Derivation:
@@ -253,7 +248,7 @@ def _cmd_kernel_check(args) -> int:
     derivation = _derivation_from(args)
     slc = _make_slice(args, derivation)
     candidates = [parse_polynomial(text, derivation.ring) for text in args.exprs]
-    outcome = kernel_check(derivation, candidates, slc)
+    outcome = kernel_check(candidates, slc)
     new = [print_canonical(g) for g in outcome.new_elements]
     lines = [f"status: {outcome.status.value}"]
     lines.extend(f"new: {text}" for text in new)
@@ -343,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(
-        "derive", parents=[fmt, ring_opts, deriv_opts],
+        "derive", parents=[fmt, deriv_opts],
         help="apply a derivation to a polynomial",
     )
     p.add_argument("expr")
@@ -351,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser(
-        "exp", parents=[fmt, ring_opts, deriv_opts],
+        "exp", parents=[fmt, deriv_opts],
         help="apply the exponential flow, printing terms by ascending degree",
     )
     p.add_argument("expr")
@@ -361,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exp)
 
     p = sub.add_parser(
-        "act", parents=[fmt, ring_opts, deriv_opts],
+        "act", parents=[fmt, deriv_opts],
         help="move a rational point along the flow",
     )
     p.add_argument("--parameter", required=True, help="flow time, a rational")
@@ -372,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser(
-        "invariant", parents=[fmt, ring_opts, deriv_opts],
+        "invariant", parents=[fmt, deriv_opts],
         help="test whether a polynomial is killed by the derivation "
         "(exit 1 if not)",
     )
@@ -421,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "kernel-check", parents=[fmt, ring_opts, deriv_opts, slice_opts],
+        "kernel-check", parents=[fmt, deriv_opts, slice_opts],
         help="one reduce-and-divide round over the candidate kernel "
         "generators (exit 0 only when they provably generate the kernel)",
     )
@@ -429,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel_check)
 
     p = sub.add_parser(
-        "kernel-compute", parents=[fmt, ring_opts, deriv_opts, slice_opts],
+        "kernel-compute", parents=[fmt, deriv_opts, slice_opts],
         help="iterate kernel rounds from the localized seed generators",
     )
     p.add_argument(

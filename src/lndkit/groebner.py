@@ -736,10 +736,6 @@ class SubalgebraTester:
         if not self._lazy:
             self._engine.complete()
 
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return self.tag_ring.variables
-
     def representation(self, f: Polynomial) -> Polynomial | None:
         """A polynomial over the tags evaluating to f, or None."""
         if f.ring != self.ring:

@@ -182,11 +182,9 @@ class KernelCheckOutcome:
         return not self.new_elements
 
 
-def kernel_check(
-    derivation: Derivation, candidates: Sequence[Polynomial], slc: Slice
-) -> KernelCheckOutcome:
-    """One round of the reduce-and-divide kernel test, localized at the
-    given slice of the same derivation (Slice.infer finds one).
+def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOutcome:
+    """One round of the reduce-and-divide kernel test for
+    slc.derivation, localized at the slice slc (Slice.infer finds one).
 
     Returns CONFIRMED when the candidates provably generate the kernel,
     NEW_GENERATORS with fresh kernel elements otherwise.  The new
@@ -201,8 +199,7 @@ def kernel_check(
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("at least one candidate required")
-    if slc.derivation != derivation:
-        raise ValueError("slice belongs to a different derivation")
+    derivation = slc.derivation
     ring = derivation.ring
     loc_poly = ring.var(slc.loc_var)
 
@@ -290,9 +287,10 @@ def seed_candidates(slc: Slice) -> tuple[Polynomial, ...]:
 def kernel_compute(
     derivation: Derivation, slc: Slice, max_rounds: int = 3
 ) -> KernelComputeResult:
-    """Iterate kernel_check from seed_candidates(slc), with slc a slice
-    of the derivation (Slice.infer finds one), adjoining new elements,
-    until it certifies the candidates or max_rounds rounds have run.
+    """Iterate kernel_check from seed_candidates(slc), adjoining new
+    elements, until it certifies the candidates or max_rounds rounds
+    have run.  derivation must be slc.derivation (Slice.infer finds a
+    slice of it), or ValueError is raised before the first round.
 
     A stabilized result is a proven generating set of the kernel,
     greedily minimized.  An unstabilized result reports the candidates
@@ -300,11 +298,13 @@ def kernel_compute(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    if slc.derivation != derivation:
+        raise ValueError("slice belongs to a different derivation")
     candidates = list(seed_candidates(slc))
     counts = [len(candidates)]
     outcomes = []
     for _ in range(max_rounds):
-        outcome = kernel_check(derivation, candidates, slc)
+        outcome = kernel_check(candidates, slc)
         outcomes.append(outcome)
         candidates.extend(outcome.new_elements)
         counts.append(len(candidates))

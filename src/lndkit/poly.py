@@ -432,6 +432,8 @@ class Polynomial:
         return (self.ring, self._den, self._num) == (other.ring, other._den, other._num)
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equal to its value, so hashed like it
+            return hash(self.constant_term())
         return hash((self.ring, self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
@@ -665,8 +667,9 @@ class LaurentElement:
         return self.numerator == other.numerator
 
     def __hash__(self) -> int:
-        var = self.denom_var if self.denom_power else None
-        return hash((self.numerator, var, self.denom_power))
+        if not self.denom_power:  # equal to its numerator, so hashed like it
+            return hash(self.numerator)
+        return hash((self.numerator, self.denom_var, self.denom_power))
 
     def __str__(self) -> str:
         if self.denom_power == 0:

@@ -75,11 +75,7 @@ def test_criterion_03_slice_generators_closed_forms(context):
 
 def test_criterion_04_quotient_kernel_confirmed(context):
     with _line(4, "quotient kernel candidates confirmed"):
-        outcome = kernel_check(
-            context.quotient_derivation,
-            list(context.quotient_kernel),
-            context.quotient_slice,
-        )
+        outcome = kernel_check(list(context.quotient_kernel), context.quotient_slice)
         assert outcome.status is KernelStatus.CONFIRMED
 
 
@@ -122,7 +118,7 @@ def test_criterion_07_folded_picture_identities(context):
         assert representation is not None
         assert representation == parse_polynomial("X1*X4", representation.ring)
 
-        outcome = kernel_check(context.folded_derivation, list(h), context.folded_slice)
+        outcome = kernel_check(list(h), context.folded_slice)
         assert outcome.confirmed
 
         got = tuple(slice_kernel_generators(context.folded_slice))

@@ -113,14 +113,9 @@ def test_project_point(context):
 
 def test_stratum_of(context):
     ring = context.ring
-    assert stratum_of(context, Point(ring, (1, 0, 0, 0, 0))) is Stratum.X_NONZERO
-    assert (
-        stratum_of(context, Point(ring, (0, 2, 0, 0, 0)))
-        is Stratum.X_ZERO_S_NONZERO
-    )
-    assert (
-        stratum_of(context, Point(ring, (0, 0, 5, 5, 5))) is Stratum.X_ZERO_S_ZERO
-    )
+    assert stratum_of(Point(ring, (1, 0, 0, 0, 0))) is Stratum.X_NONZERO
+    assert stratum_of(Point(ring, (0, 2, 0, 0, 0))) is Stratum.X_ZERO_S_NONZERO
+    assert stratum_of(Point(ring, (0, 0, 5, 5, 5))) is Stratum.X_ZERO_S_ZERO
 
 
 def test_separating_values_and_separates(context):

@@ -185,9 +185,7 @@ def test_seed_candidates(context):
 
 
 def test_kernel_check_confirms_quotient(context):
-    outcome = kernel_check(
-        context.quotient_derivation, context.quotient_kernel, context.quotient_slice
-    )
+    outcome = kernel_check(context.quotient_kernel, context.quotient_slice)
     assert outcome.status is KernelStatus.CONFIRMED
     assert outcome.confirmed
     assert outcome.new_elements == ()
@@ -200,11 +198,9 @@ def test_kernel_check_confirms_quotient(context):
 def test_kernel_check_zero_projection_and_vanishing_relation(context):
     # v^2 makes X3^2 - X4 a relation that vanishes on the candidates
     # themselves, and the slice variable t projects to zero
-    Delta, ring = context.quotient_derivation, context.quotient_ring
+    ring = context.quotient_ring
     s, t, u, v = (ring.var(n) for n in ring.variables)
-    outcome = kernel_check(
-        Delta, [s, 2 * s * u - t**2, v, v**2], context.quotient_slice
-    )
+    outcome = kernel_check([s, 2 * s * u - t**2, v, v**2], context.quotient_slice)
     assert outcome.status is KernelStatus.CONFIRMED
     tag_ring = outcome.checks[0].relation.ring
     X3, X4 = tag_ring.var("X3"), tag_ring.var("X4")
@@ -218,7 +214,7 @@ def test_kernel_check_zero_projection_and_vanishing_relation(context):
 
 def test_kernel_check_finds_new_generators(context):
     f = context.generators
-    outcome = kernel_check(context.derivation, f[:4], context.kernel_slice)
+    outcome = kernel_check(f[:4], context.kernel_slice)
     assert outcome.status is KernelStatus.NEW_GENERATORS
     assert not outcome.confirmed
     assert len(outcome.new_elements) == 3
@@ -239,7 +235,7 @@ def test_kernel_check_adjoins_numerators_outside_the_algebra(context):
     # new kernel elements, and the relation step still runs
     f = context.generators
     candidates = [f[0], f[3]]
-    outcome = kernel_check(context.derivation, candidates, context.kernel_slice)
+    outcome = kernel_check(candidates, context.kernel_slice)
     assert outcome.status is KernelStatus.NEW_GENERATORS
     assert [str(p) for p in outcome.new_elements] == [
         "2*x^3*t - s^2",
@@ -255,7 +251,7 @@ def test_kernel_check_numerator_needing_a_factor_of_loc(context):
     # x*f2 lies inside: f2 is new, next to a relation quotient
     f = context.generators
     candidates = [f[0], context.ring.var("x") * f[1], f[2], f[3]]
-    outcome = kernel_check(context.derivation, candidates, context.kernel_slice)
+    outcome = kernel_check(candidates, context.kernel_slice)
     assert outcome.status is KernelStatus.NEW_GENERATORS
     assert [str(p) for p in outcome.new_elements] == [
         "2*x^3*t - s^2",
@@ -266,21 +262,14 @@ def test_kernel_check_numerator_needing_a_factor_of_loc(context):
 
 
 def test_kernel_check_input_validation(context):
-    D = context.derivation
     f = context.generators
     with pytest.raises(ValueError):
-        kernel_check(D, [], context.kernel_slice)
+        kernel_check([], context.kernel_slice)
     with pytest.raises(ValueError):
         # the localized variable itself must be a candidate
-        kernel_check(D, [f[1], f[2], f[3]], context.kernel_slice)
-    with pytest.raises(ValueError):
-        kernel_check(
-            context.quotient_derivation,
-            context.quotient_kernel,
-            context.kernel_slice,
-        )
+        kernel_check([f[1], f[2], f[3]], context.kernel_slice)
     with pytest.raises(NonInvariantCandidateError) as info:
-        kernel_check(D, [f[0], context.ring.var("t")], context.kernel_slice)
+        kernel_check([f[0], context.ring.var("t")], context.kernel_slice)
     assert info.value.witness == context.ring.var("s")
 
 
@@ -294,9 +283,7 @@ def test_kernel_compute_quotient(context):
     assert result.counts == (3, 3)
     assert set(result.generators) == set(context.quotient_kernel)
     # a stabilized answer passes its own certificate
-    confirm = kernel_check(
-        context.quotient_derivation, result.generators, context.quotient_slice
-    )
+    confirm = kernel_check(result.generators, context.quotient_slice)
     assert confirm.status is KernelStatus.CONFIRMED
 
 
@@ -396,3 +383,6 @@ def test_seeded_rounds_shift_zero(growth3, context):
 def test_kernel_compute_validation(context):
     with pytest.raises(ValueError):
         kernel_compute(context.quotient_derivation, context.quotient_slice, 0)
+    with pytest.raises(ValueError):
+        # the slice must be one of the derivation's
+        kernel_compute(context.quotient_derivation, context.kernel_slice)

@@ -546,3 +546,14 @@ def test_laurent_equality_and_str():
     assert str(LaurentElement(R3.one(), "x", 2)) == "(1) / x^2"
     assert str(LaurentElement(X, "x", 0)) == "x"
     assert hash(LaurentElement(Y, "x", 0)) == hash(LaurentElement(Y, "z", 0))
+
+
+def test_equal_values_hash_equal():
+    # a constant equals its value and a Laurent element over x^0 its
+    # numerator, so each pair must collapse in a set
+    assert len({R3.const(3), 3}) == 1
+    assert len({R3.const(Fraction(-2, 7)), Fraction(-2, 7)}) == 1
+    assert len({R3.zero(), 0, Fraction(0)}) == 1
+    assert len({LaurentElement(Y, "x", 0), Y}) == 1
+    assert len({LaurentElement(R3.const(5), "y", 0), R3.const(5), 5}) == 1
+    assert len({LaurentElement(Y, "x", 1), Y}) == 2
