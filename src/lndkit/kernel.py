@@ -26,6 +26,7 @@ round budget runs out.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -190,7 +191,8 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     NEW_GENERATORS with fresh kernel elements otherwise.  The new
     elements are the numerators of localized generators and the
     relation quotients that lie outside the candidate algebra, made
-    primitive, without repeats, in grlex order.
+    primitive, without repeats, in grlex order of their leading
+    monomials, canonical text breaking ties.
 
     Every localized generator is probed, zero and constant ones
     included (members), and every relation is divided and tested,
@@ -240,15 +242,23 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     seen = set()
     for q in fresh:
         p = q.primitive()
+        if p in seen:
+            continue
         image = derivation.apply(p)
         if not image.is_zero():
             raise NonInvariantCandidateError(
                 f"derived element {p} fell outside the kernel", witness=image
             )
-        if p not in seen:
-            seen.add(p)
-            normalized.append(p)
-    normalized.sort(key=lambda p: (grlex_key(p.leading_term()[0]), str(p)))
+        seen.add(p)
+        normalized.append(p)
+    # canonical text is printed only where leads tie
+    leads = Counter(p.leading_term()[0] for p in normalized)
+
+    def order(p):
+        lead = p.leading_term()[0]
+        return grlex_key(lead), str(p) if leads[lead] > 1 else ""
+
+    normalized.sort(key=order)
     return KernelCheckOutcome(tuple(normalized), tuple(checks), sufficiency)
 
 

@@ -119,12 +119,12 @@ class Polynomial:
     tuple over one positive denominator, in lowest terms (gcd of the
     denominator and all numerators is 1), so equal polynomials store
     equal data.  Arithmetic computes on the numerators; only accessors
-    that hand out coefficients build Fractions.  Two views are filled
-    lazily and kept: the terms in canonical order (terms()) and the
-    exponent shape (_exponent_shape()).
+    that hand out coefficients build Fractions.  Three views are filled
+    lazily and kept: the terms in canonical order (terms()), the
+    exponent shape (_exponent_shape()) and every power taken (**).
     """
 
-    __slots__ = ("ring", "_num", "_den", "_sorted", "_shape")
+    __slots__ = ("ring", "_num", "_den", "_sorted", "_shape", "_powers")
 
     def __new__(cls, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -161,7 +161,7 @@ class Polynomial:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
         p = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (ring, num, den, None, None)):
+        for name, value in zip(cls.__slots__, (ring, num, den, None, None, None)):
             object.__setattr__(p, name, value)
         return p
 
@@ -259,7 +259,7 @@ class Polynomial:
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     f"rings differ: {self.ring.variables} vs {other.ring.variables}"
                 )
@@ -304,19 +304,27 @@ class Polynomial:
             return NotImplemented
         return other + (-self)
 
+    def _scaled(self, a: int, b: int) -> "Polynomial":
+        """self * a/b for a nonzero int a and a positive int b."""
+        if a == b:
+            return self
+        num = {m: a * v for m, v in self._num.items()}
+        return Polynomial._make(self.ring, num, self._den * b)
+
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return self.ring.zero()
-            a, b = c.numerator, c.denominator
-            num = {m: a * v for m, v in self._num.items()}
-            return Polynomial._make(self.ring, num, self._den * b)
+            return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not self._num or not other._num:
             return self.ring.zero()
+        for f, g in ((self, other), (other, self)):
+            if g.is_constant():  # it only scales the other factor
+                (c,) = g._num.values()
+                return f._scaled(c, g._den)
         # leading forms multiply in a domain, so each variable's largest
         # exponent in the product is exactly the sum of the factors'
         for a, b in zip(self._exponent_shape()[0], other._exponent_shape()[0]):
@@ -330,17 +338,24 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        """self**n, built from the powers below it: an odd power is the
+        power below times self, an even one the square of its half.
+        Every power made is kept on self, so none is built twice."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative ints")
-        result = self.ring.one()
-        base = self
-        while n:
+        if n < 2:
+            return self if n else self.ring.one()
+        if self._powers is None:
+            object.__setattr__(self, "_powers", {})
+        power = self._powers.get(n)
+        if power is None:
             if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+                power = self ** (n - 1) * self
+            else:
+                half = self ** (n // 2)
+                power = half * half
+            self._powers[n] = power
+        return power
 
     # -- calculus and substitution -------------------------------------
 
@@ -355,7 +370,7 @@ class Polynomial:
         return Polynomial._make(self.ring, out, self._den)
 
     def evaluate(self, point: "Point") -> Fraction:
-        if point.ring != self.ring:
+        if point.ring is not self.ring and point.ring != self.ring:
             raise RingMismatchError("point lives in a different ring")
         top, used = self._exponent_shape()
         # with coordinate i = a/b and t = top[i], a term's factor
@@ -474,7 +489,9 @@ class Point:
     coordinates: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coordinates)
+        coords = tuple(
+            c if type(c) is Fraction else Fraction(c) for c in self.coordinates
+        )
         if len(coords) != self.ring.nvars:
             raise ValueError("one coordinate per variable required")
         object.__setattr__(self, "coordinates", coords)
@@ -491,7 +508,9 @@ class RingMap:
     one term adds its exponents and scales the coefficient, and only
     images of several terms multiply term dicts.  Each power of an image
     is computed once, on first use, and kept on the map for every later
-    call.
+    call, as a term tuple over a denominator rather than a Polynomial:
+    apply only walks its terms, and a Polynomial per power would add an
+    object and a lowest-terms check that Gauss's lemma makes needless.
     """
 
     __slots__ = ("source", "target", "images", "_powers")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import lndkit.poly as poly
 from lndkit import (
     Check,
     Derivation,
@@ -240,3 +241,22 @@ def test_random_suite_validation():
 def test_random_suite_large(random_report):
     assert random_report.passed
     assert all(c.ok for c in random_report.checks)
+
+
+def test_random_suite_polynomial_work(monkeypatch):
+    # each power of a bundled invariant is built once and kept on it, no
+    # power or product multiplies by one, and a constant factor only
+    # scales: 296 term-dict products, against 1183 when every power
+    # started from one and was rebuilt every sample.  A fresh context,
+    # so no power kept by another test is reused.
+    context = builtin_context.__wrapped__()
+    calls = []
+    product = poly._product
+
+    def counted(left, right):
+        calls.append(None)
+        return product(left, right)
+
+    monkeypatch.setattr(poly, "_product", counted)
+    assert random_suite(0, 100, context=context).passed
+    assert len(calls) <= 300

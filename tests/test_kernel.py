@@ -26,6 +26,7 @@ from lndkit import (
 )
 from lndkit.groebner import _Reducer
 from lndkit.kernel import _minimize
+from lndkit.poly import grlex_key
 
 
 # -- Slice -------------------------------------------------------------------
@@ -378,6 +379,17 @@ def test_seeded_rounds_shift_zero(growth3, context):
         for outcome in result.outcomes:
             assert outcome.sufficiency
             assert all(c.member for c in outcome.sufficiency)
+
+
+def test_new_elements_in_lead_then_text_order(growth3):
+    # grlex order of the leading monomials, ties broken by canonical
+    # text; round 3 has elements with equal leads, so the tie-break shows
+    lead = lambda p: grlex_key(p.leading_term()[0])
+    for outcome in growth3.outcomes:
+        new = list(outcome.new_elements)
+        assert new == sorted(new, key=lambda p: (lead(p), str(p)))
+    leads = [lead(p) for p in growth3.outcomes[2].new_elements]
+    assert len(set(leads)) < len(leads)
 
 
 def test_kernel_compute_validation(context):

@@ -134,8 +134,9 @@ def test_exponent_cap_on_arithmetic():
     big = X**40000
     with pytest.raises(ExponentOverflowError):
         big * big
-    with pytest.raises(ExponentOverflowError):
-        big**2
+    for _ in range(2):  # a power that overflows is not kept
+        with pytest.raises(ExponentOverflowError):
+            big**2
     with pytest.raises(ExponentOverflowError):
         (big + Y) * (3 * X**30000 * Z - 1)
     at_cap = X**32768 * X**32768
@@ -223,7 +224,10 @@ def test_basic_identities():
     assert 2 + X == X + 2
     assert Fraction(1, 2) * X + Fraction(1, 2) * X == X
     assert 0 * X == R3.zero()
-    assert X**0 == 1
+    p = X**2 * Y - Fraction(1, 3)
+    assert p**0 == 1 and R3.zero() ** 0 == 1
+    assert p**1 is p
+    assert p**2 is p**2  # kept on p
 
 
 def test_pow_validation():
@@ -265,12 +269,16 @@ def test_evaluation_is_a_homomorphism(a, b, pt):
     assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
 
-@given(polynomials(), st.integers(min_value=0, max_value=4))
-def test_pow_matches_repeated_product(a, n):
-    expected = R3.one()
-    for _ in range(n):
-        expected = expected * a
-    assert a**n == expected
+@given(polynomials(), st.lists(st.integers(min_value=0, max_value=6), max_size=8))
+def test_pow_matches_repeated_product(a, exponents):
+    # every exponent twice, in the drawn order: the second call reads
+    # the kept power, and a power may be asked for before or after the
+    # smaller ones it is built from
+    for n in exponents + exponents:
+        expected = {(0, 0, 0): Fraction(1)}
+        for _ in range(n):
+            expected = oracles.naive_multiply(expected, a.term_dict())
+        assert (a**n).term_dict() == expected
 
 
 # -- calculus and substitution ----------------------------------------------
@@ -313,6 +321,19 @@ def test_mul_matches_naive_oracle(a, b):
     product = a * b
     assert product.term_dict() == oracles.naive_multiply(a.term_dict(), b.term_dict())
     assert stored_terms_are_clean(product)
+
+
+@given(polynomials(max_terms=6, max_exp=5), small_fractions)
+def test_constant_factors_match_naive_oracle(p, c):
+    constant = {(0, 0, 0): c} if c else {}
+    for product, factor in (
+        (c * p, constant),
+        (p * R3.const(c), constant),
+        (R3.one() * p, {(0, 0, 0): 1}),
+        (R3.const(0) * p, {}),
+    ):
+        assert product.term_dict() == oracles.naive_multiply(factor, p.term_dict())
+        assert_canonical(product)
 
 
 @given(polynomials(), small_fractions)
@@ -360,10 +381,13 @@ def test_equal_polynomials_store_equal_data():
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_copy_and_pickle_round_trip(clone):
-    for p in (Fraction(3, 4) * X**2 * Y - 5 * Z + Fraction(1, 6), R3.zero()):
+    powered = X * Y - 2
+    powered**3  # keeps the powers 2 and 3 on it
+    for p in (Fraction(3, 4) * X**2 * Y - 5 * Z + Fraction(1, 6), R3.zero(), powered):
         q = clone(p)
         assert type(q) is Polynomial
         assert q == p and hash(q) == hash(p)
+        assert q**3 == p**3
 
 
 @settings(max_examples=10)
@@ -390,6 +414,17 @@ def test_point():
         Point(R3, (1, 2))
     with pytest.raises(UnknownVariableError):
         pt.coordinate("w")
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), small_fractions), min_size=3, max_size=3))
+def test_point_coordinates_are_fractions(coords):
+    # ints, Fractions or a mix of the two give the same Fraction point
+    pt = Point(R3, coords)
+    fractions = tuple(Fraction(c) for c in coords)
+    assert pt.coordinates == fractions and pt == Point(R3, fractions)
+    assert all(type(c) is Fraction for c in pt.coordinates)
+    p = X**2 * Y - Fraction(1, 2) * Z**3 + 7
+    assert p.evaluate(pt) == oracles.naive_evaluate(p.term_dict(), coords)
 
 
 def test_exact_divide_var():
