@@ -28,7 +28,11 @@ relation_ideal orders them grlex, so its reduced basis stays the pinned
 one.  The tester breaks tag ties grevlex, because the grevlex tag ideal
 has a much smaller basis and a membership answer does not depend on the
 order; when the elements satisfy relations, its representation is one
-of several tag polynomials with the same value.
+of several tag polynomials with the same value.  The tester also
+decides whether a tag polynomial lies in the relation ideal plus one
+tag, on a second engine fed with its own tag-only entries, which is
+how kernel_check decides a relation quotient without reducing it in the
+whole ring.
 """
 
 from __future__ import annotations
@@ -198,14 +202,15 @@ class _Packing:
         """The packed lcm of two exponent tuples."""
         return self.pack(tuple(x if x >= y else y for x, y in zip(a, b)))
 
-    def pack_poly(self, f: Polynomial) -> tuple[dict, int]:
+    def pack_poly(self, f: Polynomial, start: int = 0) -> tuple[dict, int]:
         """(packed integer numerators of f, their denominator).
 
-        A polynomial over fewer variables than the packing fills the
-        leading ones.
+        The exponents of f fill the variables from start on, as many as
+        f's ring has.
         """
         pack = self.pack
-        return {pack(m): c for m, c in f._num.items()}, f._den
+        pad = (0,) * start
+        return {pack(pad + m): c for m, c in f._num.items()}, f._den
 
     def unpack_poly(
         self, ring: Ring, d: dict, start: int = 0, den: int = 1
@@ -491,15 +496,16 @@ class _Engine:
         self.alive.append(True)
         self._update(len(self.basis) - 1)
 
-    def _step(self) -> None:
-        _, plcm, i, j = heapq.heappop(self.pair_heap)
-        if self.pairs.pop((i, j), None) is None:
-            return
-        remainder, _ = self.reducer.reduce(
-            _spoly(self.basis[i], self.basis[j], plcm, self.guard)
-        )
+    def add(self, d: dict) -> None:
+        """Adjoin the normal form of the integer dict d, unless it is 0."""
+        remainder, _ = self.reducer.reduce(d)
         if remainder:
             self._adjoin(remainder)
+
+    def _step(self) -> None:
+        _, plcm, i, j = heapq.heappop(self.pair_heap)
+        if self.pairs.pop((i, j), None) is not None:
+            self.add(_spoly(self.basis[i], self.basis[j], plcm, self.guard))
 
     def complete_to(self, wdeg: int) -> None:
         heap = self.pair_heap
@@ -717,7 +723,8 @@ class SubalgebraTester:
     elements satisfy relations not the only one.  When every element is
     homogeneous for the ring's weights, the basis is completed lazily:
     each membership query extends it just past the query's weighted
-    degree, which is as far as the answer can depend on.
+    degree, which is as far as the answer can depend on.  Otherwise the
+    first query completes it.
 
     An element that is a ring variable y itself is renamed onto its tag
     (see _tag_ideal), and so is y in every query: the query keeps its
@@ -725,6 +732,10 @@ class SubalgebraTester:
     a query stops at the first term of its normal form that involves a
     ring variable: that term leads the normal form and makes the answer
     None.
+
+    multiple_of decides membership of a quotient P(elements)/element
+    from P alone, in the tag ring, on one more engine per element index
+    that grows with this one; see there.
     """
 
     def __init__(self, elements: Sequence[Polynomial]):
@@ -733,8 +744,20 @@ class SubalgebraTester:
             self.ring, self.tag_ring, self._packing, self._engine, self._lazy,
             self._moves,
         ) = _tag_ideal(self.elements, MonomialOrder._tag_elimination)
+        # per element index: the engine on J + (tag), and how many
+        # entries of the tester's engine it has taken in
+        self._multiples: dict[int, list] = {}
+
+    def _complete(self, engine: _Engine, f: Polynomial, start: int = 0) -> None:
+        """Complete engine as far as reducing f, packed from variable
+        start on, needs: fully unless the tester is lazy."""
         if not self._lazy:
-            self._engine.complete()
+            engine.complete()
+        elif f:
+            weights = self._engine.weights[start:]
+            engine.complete_to(
+                max(sum(w * e for w, e in zip(weights, m)) for m in f._num)
+            )
 
     def representation(self, f: Polynomial) -> Polynomial | None:
         """A polynomial over the tags evaluating to f, or None."""
@@ -742,11 +765,7 @@ class SubalgebraTester:
             raise RingMismatchError("polynomial lies outside the base ring")
         packing = self._packing
         engine = self._engine
-        if self._lazy and f:
-            # the ring's weights lead the engine's, one per variable of f
-            engine.complete_to(
-                max(sum(w * e for w, e in zip(engine.weights, m)) for m in f._num)
-            )
+        self._complete(engine, f)
         d, den = packing.pack_poly(f)
         tag_only = 1 << packing.shifts[0]
         remainder, den = engine.reducer.reduce(
@@ -758,6 +777,46 @@ class SubalgebraTester:
 
     def contains(self, f: Polynomial) -> bool:
         return self.representation(f) is not None
+
+    def multiple_of(self, relation: Polynomial, index: int) -> bool:
+        """Whether relation, over the tags, lies in J + (tag index), J
+        the ideal of the relations among the elements.
+
+        With g the elements and P(g) divisible by g[index], that is
+        exactly when P(g)/g[index] lies in the subalgebra: P = tag*R + j,
+        j in J, gives P(g)/g[index] = R(g), and P(g)/g[index] = R(g)
+        gives P - tag*R in J.  The tester's tag-only entries generate J
+        (the order eliminates the ring variables), and after
+        complete_to(d) they are a Groebner basis of J up to degree d; so
+        the engine on J + (tag) starts from the tag, adds each tag-only
+        entry as the tester makes it and completes as lazily as the
+        tester does.  No ring term is ever reduced.
+        """
+        if relation.ring != self.tag_ring:
+            raise RingMismatchError("relation lies outside the tag ring")
+        if not 0 <= index < len(self.elements):
+            raise IndexError(f"no element at index {index}")
+        packing = self._packing
+        engine = self._engine
+        n = self.ring.nvars
+        self._complete(engine, relation, n)
+        multiple = self._multiples.get(index)
+        if multiple is None:
+            tag = {packing.units[n + index]: 1}
+            multiple = self._multiples[index] = [
+                _Engine([tag], packing, engine.weights), 0
+            ]
+        ideal, taken = multiple
+        tag_only = 1 << packing.shifts[0]
+        for lm, lc, tail in engine.basis[taken:]:
+            if lm < tag_only:
+                entry = dict(tail)
+                entry[lm] = lc
+                ideal.add(entry)
+        multiple[1] = len(engine.basis)
+        self._complete(ideal, relation, n)
+        d, _ = packing.pack_poly(relation, n)
+        return not ideal.reducer.reduce(d)[0]
 
 
 def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:

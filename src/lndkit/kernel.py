@@ -18,8 +18,12 @@ subalgebra A.  Each numerator N of a localized generator is invariant
 element.  Then the relations of the candidates modulo loc are
 computed, the candidates substituted back into each relation, the
 result divided by loc once, and each quotient tested for membership in
-A.  Numerators and quotients outside A are the new kernel elements; a
-round without any certifies that the candidates generate the kernel.
+A.  The test runs in the tag ring: with J the relations among the
+candidates, the quotient of a relation P lies in A exactly when P lies
+in J + (tag of loc) (SubalgebraTester.multiple_of), and only a member
+is then rewritten into its representation.  Numerators and quotients
+outside A are the new kernel elements; a round without any certifies
+that the candidates generate the kernel.
 kernel_compute iterates rounds until that certificate appears or a
 round budget runs out.
 """
@@ -196,7 +200,11 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
 
     Every localized generator is probed, zero and constant ones
     included (members), and every relation is divided and tested,
-    vanishing ones included (quotient 0, represented by 0).
+    vanishing ones included (quotient 0, represented by 0).  A
+    relation's quotient is decided by SubalgebraTester.multiple_of on
+    the relation itself, so a quotient outside the algebra is never
+    reduced in the whole ring; a representation is built only for a
+    member.
     """
     candidates = tuple(candidates)
     if not candidates:
@@ -230,10 +238,13 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     relations = relation_ideal(images)
     substitute = RingMap(relations.tag_ring, ring, candidates)
 
+    loc_index = candidates.index(loc_poly)
     checks = []
     for relation in relations.generators:
         quotient = substitute(relation).exact_divide_var(slc.loc_var, 1)
-        representation = tester.representation(quotient)
+        representation = None
+        if tester.multiple_of(relation, loc_index):
+            representation = tester.representation(quotient)
         checks.append(RelationCheck(relation, quotient, representation))
         if representation is None:
             fresh.append(quotient)

@@ -195,18 +195,24 @@ def brute_member(f: Polynomial, elements: list[Polynomial]) -> bool:
     components: dict = {}
     for m, c in f.term_dict().items():
         components.setdefault(wdeg(m), {})[m] = c
+
+    def extend(i, rest, value):
+        # value times each product of powers of graded[i:] of degree rest
+        if i == len(graded):
+            if rest == 0:
+                yield value
+            return
+        terms, deg = graded[i]
+        while True:
+            yield from extend(i + 1, rest, value)
+            if rest < deg:
+                return
+            rest -= deg
+            value = naive_multiply(value, terms)
+
     one = {(0,) * ring.nvars: Fraction(1)}
     for d, part in components.items():
-        bound = d // min(deg for _, deg in graded) if graded else 0
-        products = []
-        for mono in tag_monomials(len(graded), bound):
-            if sum(e * deg for e, (_, deg) in zip(mono, graded)) != d:
-                continue
-            value = one
-            for e, (terms, _) in zip(mono, graded):
-                for _ in range(e):
-                    value = naive_multiply(value, terms)
-            products.append(value)
+        products = list(extend(0, d, one))
         support = sorted({m for p in products + [part] for m in p})
         rows = [[Fraction(p.get(m, 0)) for m in support] for p in products]
         if _rank(rows) != _rank(rows + [[Fraction(part.get(m, 0)) for m in support]]):

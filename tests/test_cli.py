@@ -621,8 +621,10 @@ def test_malformed_derivation_json_exits_2(tmp_path_factory, data):
 # -- random argv ----------------------------------------------------------------
 
 # kernel-compute takes no positional argument, so a draw runs its
-# rounds (about 0.2 s on builtin:D) only when every token after it is a
-# valid option; almost every draw stops at argument parsing instead
+# rounds (about 0.1 s for the default three on builtin:D) only when
+# every token after it is a valid option, such as --rounds 2; almost
+# every draw stops at argument parsing instead, and no value drawn
+# asks for more than three rounds
 _COMMANDS = [
     "eval", "derive", "exp", "act", "invariant", "groebner", "relations",
     "member", "kernel-check", "kernel-compute", "paper",
@@ -630,7 +632,7 @@ _COMMANDS = [
 _FLAGS = [
     "--format", "--ring", "--weights", "--derivation", "--at", "--times",
     "--parameter", "--point", "--order", "--loc", "--slice-var",
-    "--division-bound", "--seed", "--samples",
+    "--rounds", "--seed", "--samples",
 ]
 _WORDS = ["verify", "random", "--ideal", "--help"]
 _VALUES = [

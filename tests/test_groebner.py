@@ -472,6 +472,13 @@ def test_symmetric_functions():
     assert tester.representation(X2) is None
     with pytest.raises(RingMismatchError):
         tester.contains(X)
+    with pytest.raises(RingMismatchError):
+        tester.multiple_of(X, 0)
+    X1 = tester.tag_ring.var("X1")
+    with pytest.raises(IndexError):
+        tester.multiple_of(X1, 2)
+    with pytest.raises(IndexError):
+        tester.multiple_of(X1, -1)
 
 
 def test_membership_round_trip():
@@ -488,12 +495,12 @@ def test_membership_round_trip():
 
 
 @st.composite
-def _homogeneous_elements(draw):
-    """Two or three nonzero homogeneous polynomials of R2, degrees 1 to 3;
+def _homogeneous_elements(draw, most=3):
+    """Two to most nonzero homogeneous polynomials of R2, degrees 1 to 3;
     one in four is a bare variable, which the tester renames onto its
     tag."""
     elements = []
-    for _ in range(draw(st.integers(2, 3))):
+    for _ in range(draw(st.integers(2, most))):
         if draw(st.integers(0, 3)) == 0:
             elements.append(draw(st.sampled_from([X2, Y2])))
             continue
@@ -524,6 +531,39 @@ def test_membership_agrees_with_brute_force(elements, data):
         assert (rep is not None) == expected
         if rep is not None:
             assert substitute(rep) == f
+
+
+@settings(max_examples=30)
+@given(_homogeneous_elements(most=4), st.data())
+def test_multiple_of_agrees_with_ideal_membership(elements, data):
+    tester = SubalgebraTester(elements)
+    relations = relation_ideal(elements).generators
+    tags = [tester.tag_ring.var(name) for name in tester.tag_ring.variables]
+    lift, nudge = (data.draw(_polys(tester.tag_ring, 2, 2, _SCALARS)) for _ in "ln")
+    for index, tag in enumerate(tags):
+        for relation in (tester.tag_ring.zero(), *relations):
+            for query in (tag * lift + relation, tag * lift + relation * nudge + nudge):
+                expected = ideal_membership(query, [*relations, tag])
+                assert tester.multiple_of(query, index) == expected
+
+
+@pytest.mark.parametrize("first", ["x^3", "x^3 + 1"])
+def test_multiple_of_completes_the_ideal(first):
+    # here J's basis reduced modulo X3 is no Groebner basis of J + (X3):
+    # without the pairs of its own engine, multiple_of misses the
+    # degree-6 relation at index 2.  x^3 + 1 makes the first element
+    # inhomogeneous, so the tester completes at once instead of lazily
+    elements = [parse_polynomial(text, R2) for text in (
+        first, "2*x*y", "x^2 + 2*x*y", "2*x*y + 2*y^2"
+    )]
+    tester = SubalgebraTester(elements)
+    assert tester._lazy == (first == "x^3")
+    relations = relation_ideal(elements).generators
+    tags = [tester.tag_ring.var(name) for name in tester.tag_ring.variables]
+    for index, tag in enumerate(tags):
+        for query in (*relations, tags[index - 1] ** 2, tags[index - 1] * tag):
+            expected = ideal_membership(query, [*relations, tag])
+            assert tester.multiple_of(query, index) == expected
 
 
 def test_renamed_variable_keeps_every_answer():
