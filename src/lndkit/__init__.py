@@ -26,7 +26,6 @@ from .derivation import (
 )
 from .errors import (
     ExponentOverflowError,
-    GradingError,
     InputError,
     LndError,
     NilpotencyCapError,
@@ -78,7 +77,6 @@ __all__ = [
     "DegreeSpread",
     "Derivation",
     "ExponentOverflowError",
-    "GradingError",
     "InputError",
     "KernelCheckOutcome",
     "KernelComputeResult",

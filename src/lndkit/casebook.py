@@ -37,15 +37,19 @@ from .poly import LaurentElement, Point, Polynomial, Ring, RingMap
 
 @dataclass(frozen=True)
 class Check:
-    """One verified statement: ok, or FAIL with a witness."""
+    """One verified statement: ok when there is no witness, FAIL with
+    the witness that refutes it otherwise."""
 
     name: str
-    status: str  # "ok" | "FAIL"
     witness: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.witness is None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.ok else "FAIL"
 
 
 @dataclass(frozen=True)
@@ -81,44 +85,55 @@ class VerificationReport:
 @dataclass(frozen=True)
 class PaperContext:
     """The bundled example: main derivation, its two companion pictures,
-    and the named invariants of each."""
+    and the named invariants of each.
 
-    ring: Ring
-    derivation: Derivation
+    Each picture's derivation is the one of its slice, and its ring
+    that derivation's ring; both are read off the slice, not stored.
+    """
+
     generators: tuple[Polynomial, ...]          # f1..f6
     kernel_slice: Slice                         # s over x^3
-    quotient_ring: Ring                         # x -> 0 target
-    quotient_map: RingMap
-    quotient_derivation: Derivation             # Delta
+    quotient_map: RingMap                       # x -> 0
     quotient_kernel: tuple[Polynomial, ...]     # s, 2su - t^2, v
-    quotient_slice: Slice                       # t over s
-    folded_ring: Ring                           # s -> x*v target
-    fold_map: RingMap
-    folded_derivation: Derivation               # Delta'
+    quotient_slice: Slice                       # Delta: t over s
+    fold_map: RingMap                           # s -> x*v
     folded_generators: tuple[Polynomial, ...]   # h1..h4
-    folded_slice: Slice                         # v over x^2
+    folded_slice: Slice                         # Delta': v over x^2
 
     def __post_init__(self):
-        if self.derivation.ring != self.ring:
-            raise ValueError("derivation ring mismatch")
-        if self.quotient_map.source != self.ring or (
-            self.quotient_map.target != self.quotient_ring
+        for name, link, target in (
+            ("quotient", self.quotient_map, self.quotient_ring),
+            ("fold", self.fold_map, self.folded_ring),
         ):
-            raise ValueError("quotient map ring mismatch")
-        if self.fold_map.source != self.ring or (
-            self.fold_map.target != self.folded_ring
-        ):
-            raise ValueError("fold map ring mismatch")
-        for name, slc, d in (
-            ("kernel", self.kernel_slice, self.derivation),
-            ("quotient", self.quotient_slice, self.quotient_derivation),
-            ("folded", self.folded_slice, self.folded_derivation),
-        ):
-            if slc.derivation != d:
-                raise ValueError(f"{name} slice belongs to a different derivation")
+            if link.source != self.ring or link.target != target:
+                raise ValueError(f"{name} map ring mismatch")
         for d in (self.derivation, self.quotient_derivation, self.folded_derivation):
             if not d.is_locally_nilpotent():
                 raise ValueError(f"{d!r} is not locally nilpotent")
+
+    @property
+    def derivation(self) -> Derivation:
+        return self.kernel_slice.derivation
+
+    @property
+    def ring(self) -> Ring:
+        return self.derivation.ring
+
+    @property
+    def quotient_derivation(self) -> Derivation:
+        return self.quotient_slice.derivation
+
+    @property
+    def quotient_ring(self) -> Ring:
+        return self.quotient_derivation.ring
+
+    @property
+    def folded_derivation(self) -> Derivation:
+        return self.folded_slice.derivation
+
+    @property
+    def folded_ring(self) -> Ring:
+        return self.folded_derivation.ring
 
     def project_point(self, point: Point) -> Point:
         """Drop the x coordinate: the point-level companion of the
@@ -182,20 +197,14 @@ def builtin_context() -> PaperContext:
     folded_generators = tuple(hparse(text) for text in _H_TEXT)
 
     return PaperContext(
-        ring=ring,
-        derivation=derivation,
         generators=generators,
-        kernel_slice=Slice.of(derivation, "s", "x"),
-        quotient_ring=quotient_ring,
+        kernel_slice=Slice(derivation, "s", "x"),
         quotient_map=quotient_map,
-        quotient_derivation=quotient_derivation,
         quotient_kernel=quotient_kernel,
-        quotient_slice=Slice.of(quotient_derivation, "t", "s"),
-        folded_ring=folded_ring,
+        quotient_slice=Slice(quotient_derivation, "t", "s"),
         fold_map=fold_map,
-        folded_derivation=folded_derivation,
         folded_generators=folded_generators,
-        folded_slice=Slice.of(folded_derivation, "v", "x"),
+        folded_slice=Slice(folded_derivation, "v", "x"),
     )
 
 
@@ -241,10 +250,8 @@ def _check(name: str, body: Callable[[], str | None]) -> Check:
     try:
         witness = body()
     except LndError as exc:
-        return Check(name, "FAIL", f"{type(exc).__name__}: {exc}")
-    if witness is None:
-        return Check(name, "ok")
-    return Check(name, "FAIL", witness)
+        witness = f"{type(exc).__name__}: {exc}"
+    return Check(name, witness)
 
 
 def _expect(condition: bool, witness: str) -> str | None:
@@ -732,9 +739,7 @@ def random_suite(
             )
 
     def summarize(name: str, failures: list[str]) -> Check:
-        if not failures:
-            return Check(name, "ok")
-        return Check(name, "FAIL", failures[0])
+        return Check(name, failures[0] if failures else None)
 
     return VerificationReport(
         (

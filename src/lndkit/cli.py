@@ -112,7 +112,7 @@ def _derivation_from_json(data) -> Derivation:
             'derivation file: "derivation" must be an object mapping '
             "variable names to polynomial strings"
         )
-    ring = Ring(tuple(names), tuple(weights) if weights is not None else None)
+    ring = Ring(names, weights)
     images = {name: parse_polynomial(text, ring) for name, text in table.items()}
     return Derivation.from_mapping(ring, images)
 
@@ -211,7 +211,7 @@ def _cmd_relations(args) -> int:
     lines = [print_canonical(g) for g in rel.generators]
     _emit(
         args,
-        {"tags": list(rel.tags), "generators": lines},
+        {"tags": list(rel.tag_ring.variables), "generators": lines},
         "\n".join(lines),
     )
     return 0
@@ -240,7 +240,7 @@ def _make_slice(args, derivation: Derivation) -> Slice:
     if args.slice_var is not None:
         if args.loc is None:
             raise InputError("--slice-var requires --loc")
-        return Slice.of(derivation, args.slice_var, args.loc)
+        return Slice(derivation, args.slice_var, args.loc)
     return Slice.infer(derivation, args.loc)
 
 

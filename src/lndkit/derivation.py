@@ -210,7 +210,7 @@ class Derivation:
 
         Each variable y is sent to sum_k D^k(y)/k! * parameter^k, which
         terminates exactly when the derivation is locally nilpotent.
-        The extended ring carries no weights.
+        The extended ring has the standard grading: every weight is 1.
         """
         if parameter in self.ring.variables:
             raise ValueError(f"parameter {parameter!r} collides with a ring variable")

@@ -34,10 +34,6 @@ class ExponentOverflowError(LndError):
     """An exponent exceeded the configured safety cap."""
 
 
-class GradingError(LndError):
-    """A weighted-degree query was made on a ring with no weights."""
-
-
 class NotDivisibleError(LndError):
     """Exact division failed.
 

@@ -667,12 +667,11 @@ def _tag_ideal(
         (packing.raw_shifts[j], units[n + i] - units[j]) for j, i in names.items()
     )
     kept = set(names.values())
-    base = ring.weights or (1,) * n
-    weights = list(base)
+    weights = list(ring.weights)
     homogeneous = True
     ideal = []
     for i, g in enumerate(elements):
-        degrees = {sum(w * e for w, e in zip(base, m)) for m in g._num}
+        degrees = {sum(w * e for w, e in zip(ring.weights, m)) for m in g._num}
         homogeneous = homogeneous and len(degrees) <= 1
         weights.append(max(degrees, default=1))
         d, den = packing.pack_poly(g)
@@ -688,18 +687,14 @@ def _tag_ideal(
 class RelationIdeal:
     """All polynomial relations among a fixed list of ring elements.
 
-    tag_ring has one tag variable per element, in element order, and
-    tags names them.  generators is the reduced Groebner basis, under
-    grlex on tag_ring, of the kernel of tag_ring -> R, tag i ->
-    element i, sorted ascending by leading monomial.
+    tag_ring has one tag variable per element, in element order.
+    generators is the reduced Groebner basis, under grlex on tag_ring,
+    of the kernel of tag_ring -> R, tag i -> element i, sorted ascending
+    by leading monomial.
     """
 
     tag_ring: Ring
     generators: tuple[Polynomial, ...]
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return self.tag_ring.variables
 
     def evaluate(self, relation: Polynomial, elements: Sequence[Polynomial]) -> Polynomial:
         """Substitute the original elements back into a relation."""

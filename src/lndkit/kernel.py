@@ -103,7 +103,8 @@ class Slice:
 
     @classmethod
     def of(cls, derivation: Derivation, var: str, loc_var: str) -> "Slice":
-        """The same as Slice(derivation, var, loc_var)."""
+        """The same as Slice(derivation, var, loc_var); kept only because
+        the benchmark's workloads (perfbench/workloads.py) call it."""
         return cls(derivation, var, loc_var)
 
     @classmethod
@@ -123,7 +124,7 @@ class Slice:
         for loc in locs:
             for var in ring.variables:
                 try:
-                    return cls.of(derivation, var, loc)
+                    return cls(derivation, var, loc)
                 except SliceError:
                     if not derivation.image(loc).is_zero():
                         raise

@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ExponentOverflowError,
-    GradingError,
     NotDivisibleError,
     RingMismatchError,
     UnknownVariableError,
@@ -50,8 +49,10 @@ def grlex_key(mono: tuple[int, ...]) -> tuple:
 class Ring:
     """A polynomial ring over the rationals with named variables.
 
-    weights, when present, assign a positive integer weight to each
-    variable and induce the weighted grading used by weighted_degree.
+    weights assign a positive integer weight to each variable and induce
+    the grading used by weighted_degree.  Left out (None), every weight
+    is 1: the standard grading, stored as (1,)*n, so Ring(v) equals
+    Ring(v, (1,)*n).
     """
 
     variables: tuple[str, ...]
@@ -66,15 +67,12 @@ class Ring:
         for name in self.variables:
             if not _is_identifier(name):
                 raise ValueError(f"bad variable name: {name!r}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(self.weights))
-            if len(self.weights) != len(self.variables):
-                raise ValueError("one weight per variable required")
-            if any(
-                not isinstance(w, int) or isinstance(w, bool) or w <= 0
-                for w in self.weights
-            ):
-                raise ValueError("weights must be positive integers")
+        weights = (1,) * self.nvars if self.weights is None else tuple(self.weights)
+        object.__setattr__(self, "weights", weights)
+        if len(weights) != self.nvars:
+            raise ValueError("one weight per variable required")
+        if any(not isinstance(w, int) or isinstance(w, bool) or w <= 0 for w in weights):
+            raise ValueError("weights must be positive integers")
 
     @property
     def nvars(self) -> int:
@@ -121,10 +119,10 @@ class Polynomial:
     equal data.  Arithmetic computes on the numerators; only accessors
     that hand out coefficients build Fractions.  Three views are filled
     lazily and kept: the terms in canonical order (terms()), the
-    exponent shape (_exponent_shape()) and every power taken (**).
+    exponent shape (_exponent_shape()) and the square (self**2).
     """
 
-    __slots__ = ("ring", "_num", "_den", "_sorted", "_shape", "_powers")
+    __slots__ = ("ring", "_num", "_den", "_sorted", "_shape", "_square")
 
     def __new__(cls, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -239,14 +237,13 @@ class Polynomial:
         return max(m[i] for m in self._num)
 
     def weighted_degree(self) -> Union[int, "DegreeSpread"]:
-        """Weighted degree under the ring's grading.
+        """Weighted degree under the ring's grading (the total degree
+        when the ring was given no weights).
 
         Returns the common degree for a homogeneous polynomial, a
         DegreeSpread(min, max) for an inhomogeneous one.  The zero
         polynomial is homogeneous of every degree; we report 0.
         """
-        if self.ring.weights is None:
-            raise GradingError("ring has no weights")
         if not self._num:
             return 0
         w = self.ring.weights
@@ -340,22 +337,20 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         """self**n, built from the powers below it: an odd power is the
         power below times self, an even one the square of its half.
-        Every power made is kept on self, so none is built twice."""
+        Only the square is kept on self, and nothing on the powers made
+        on the way, so a high power costs no memory once it is dropped."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative ints")
         if n < 2:
             return self if n else self.ring.one()
-        if self._powers is None:
-            object.__setattr__(self, "_powers", {})
-        power = self._powers.get(n)
-        if power is None:
-            if n & 1:
-                power = self ** (n - 1) * self
-            else:
-                half = self ** (n // 2)
-                power = half * half
-            self._powers[n] = power
-        return power
+        if n == 2:
+            if self._square is None:
+                object.__setattr__(self, "_square", self * self)
+            return self._square
+        if n & 1:
+            return self ** (n - 1) * self
+        half = self ** (n // 2)
+        return half * half
 
     # -- calculus and substitution -------------------------------------
 

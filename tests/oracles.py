@@ -176,9 +176,9 @@ def in_span(vector: Polynomial, basis: list[Polynomial]) -> bool:
 
 def brute_member(f: Polynomial, elements: list[Polynomial]) -> bool:
     """Whether f lies in the algebra generated by the weighted-homogeneous
-    elements (weights from the ring, all ones when it has none)."""
+    elements, graded by the ring's weights."""
     ring = f.ring
-    weights = ring.weights or (1,) * ring.nvars
+    weights = ring.weights
 
     def wdeg(mono):
         return sum(w * e for w, e in zip(weights, mono))

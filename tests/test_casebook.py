@@ -12,6 +12,7 @@ from lndkit import (
     Check,
     Derivation,
     Point,
+    Slice,
     Stratum,
     VerificationReport,
     builtin_context,
@@ -84,20 +85,27 @@ def test_builtin_context_is_cached():
 
 def test_context_rejects_bad_wiring(context):
     with pytest.raises(ValueError):
-        dataclasses.replace(context, derivation=context.quotient_derivation)
-    with pytest.raises(ValueError):
         dataclasses.replace(context, quotient_map=context.fold_map)
     with pytest.raises(ValueError):
         dataclasses.replace(context, fold_map=context.quotient_map)
-    euler = Derivation.from_mapping(context.ring, {"x": context.ring.var("x")})
-    with pytest.raises(ValueError):
-        dataclasses.replace(context, derivation=euler)
-    # each slice must belong to its own derivation, not just its ring
-    for name in ("derivation", "quotient_derivation", "folded_derivation"):
-        d = getattr(context, name)
-        doubled = Derivation(d.ring, tuple(2 * g for g in d.images))
-        with pytest.raises(ValueError, match="slice belongs to a different derivation"):
-            dataclasses.replace(context, **{name: doubled})
+    # a slice on another ring leaves both maps starting elsewhere
+    with pytest.raises(ValueError, match="map ring mismatch"):
+        dataclasses.replace(context, kernel_slice=context.folded_slice)
+    ring = context.ring
+    runaway = Derivation.from_mapping(
+        ring, {"s": ring.var("x") ** 3, "t": ring.var("t")}
+    )
+    with pytest.raises(ValueError, match="not locally nilpotent"):
+        dataclasses.replace(context, kernel_slice=Slice(runaway, "s", "x"))
+    # each derivation and ring is read off its slice, so none can
+    # disagree with it
+    for slc, d, r in (
+        (context.kernel_slice, context.derivation, context.ring),
+        (context.quotient_slice, context.quotient_derivation, context.quotient_ring),
+        (context.folded_slice, context.folded_derivation, context.folded_ring),
+    ):
+        assert d is slc.derivation and r is d.ring
+    assert len(dataclasses.fields(context)) == 8
 
 
 def test_project_point(context):
@@ -155,7 +163,7 @@ def test_report_rendering(report):
 
 def test_report_structure_helpers():
     failing = VerificationReport(
-        (Check("alpha", "ok"), Check("beta", "FAIL", "boom"))
+        (Check("alpha"), Check("beta", "boom"))
     )
     assert not failing.passed
     assert failing.checks[0].ok
@@ -166,6 +174,9 @@ def test_report_structure_helpers():
     assert "    boom" in text
     assert text.endswith("1/2 checks passed")
     assert failing.to_json_obj()["checks"][1]["witness"] == "boom"
+    # the status is read off the witness: any witness, even "", is a FAIL
+    assert [f.name for f in dataclasses.fields(Check)] == ["name", "witness"]
+    assert Check("gamma", "").status == "FAIL"
 
 
 # -- corruption drills: break one input, watch the right check fail -------------

@@ -223,7 +223,7 @@ def test_exponential_of_shift():
     flow = SHIFT.exponential("r")
     ext = flow.target
     assert ext.variables == ("r", "x", "y")
-    assert ext.weights is None
+    assert ext.weights == (1, 1, 1)
     assert flow(X) == ext.var("x")
     assert flow(Y) == parse_polynomial("y + r*x", ext)
     with pytest.raises(ValueError):

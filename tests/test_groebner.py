@@ -394,7 +394,7 @@ def test_ideal_membership_and_equality():
 def test_relation_ideal_pinned():
     t = Ring(("t",)).var("t")
     rel = relation_ideal([t**2, t**3])
-    assert rel.tags == ("X1", "X2")
+    assert rel.tag_ring.variables == ("X1", "X2")
     assert tuple(str(g) for g in rel.generators) == ("X1^3 - X2^2",)
     assert rel.evaluate(rel.generators[0], [t**2, t**3]).is_zero()
     with pytest.raises(ValueError):
@@ -427,7 +427,7 @@ def test_relation_ideal_independent_elements():
 def test_tag_names_avoid_ring_variables():
     ring = Ring(("X1", "y"))
     rel = relation_ideal([ring.var("X1") ** 2])
-    assert rel.tags == ("XX1",)
+    assert rel.tag_ring.variables == ("XX1",)
 
 
 def test_relation_ideal_against_brute_force():

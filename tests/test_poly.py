@@ -12,7 +12,6 @@ import oracles
 from lndkit import (
     DegreeSpread,
     ExponentOverflowError,
-    GradingError,
     LaurentElement,
     MonomialOrder,
     NotDivisibleError,
@@ -109,6 +108,17 @@ def test_ring_accessors():
     assert R3.const(Fraction(2, 3)).constant_term() == Fraction(2, 3)
     assert R3.zero().is_zero()
     assert R3.one() == 1
+
+
+def test_standard_grading_is_one_ring():
+    # no weights and all weights 1 are the same grading, so the same ring
+    assert R2 == Ring(("a", "b"), (1, 1))
+    assert hash(R2) == hash(Ring(("a", "b"), [1, 1]))
+    assert R2.weights == (1, 1)
+    ones = Ring(("a", "b"), (1, 1))
+    assert A + ones.var("b") == A + B
+    assert (A**2 * B + ones.var("a")).weighted_degree() == DegreeSpread(1, 3)
+    assert R2 != Ring(("a", "b"), (1, 2))
 
 
 def test_underscore_names_allowed():
@@ -208,8 +218,7 @@ def test_weighted_degree():
     spread = (x + s).weighted_degree()
     assert spread == DegreeSpread(1, 3)
     assert RW.zero().weighted_degree() == 0
-    with pytest.raises(GradingError):
-        X.weighted_degree()
+    assert (X**2 * Y).weighted_degree() == 3  # the total degree without weights
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -230,6 +239,30 @@ def test_basic_identities():
     assert p**2 is p**2  # kept on p
 
 
+def _kept_polynomials(p: Polynomial) -> list:
+    """The Polynomials reachable from p through its slots, p excluded."""
+    found, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        for name in Polynomial.__slots__:
+            value = getattr(q, name)
+            for v in value.values() if isinstance(value, dict) else (value,):
+                if isinstance(v, Polynomial) and all(v is not w for w in found):
+                    found.append(v)
+                    stack.append(v)
+    return found
+
+
+def test_pow_keeps_only_the_square():
+    # a high power is built through powers 4, 5 and 10, but once it is
+    # dropped only the square stays on the base
+    g = X * Y - 2 * Z + 1
+    at = Point(R3, (2, Fraction(1, 3), -1))
+    assert (g**20).evaluate(at) == g.evaluate(at) ** 20
+    kept = _kept_polynomials(g)
+    assert len(kept) == 1 and kept[0] is g**2
+
+
 def test_pow_validation():
     with pytest.raises(ValueError):
         X ** (-1)
@@ -238,7 +271,7 @@ def test_pow_validation():
 
 
 def test_ring_mismatch():
-    other = Ring(("x", "y", "z"), (1, 1, 1))
+    other = Ring(("x", "y", "z"), (1, 2, 1))
     with pytest.raises(RingMismatchError):
         X + other.var("x")
     with pytest.raises(RingMismatchError):
