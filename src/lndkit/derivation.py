@@ -16,15 +16,15 @@ from math import factorial, lcm
 from operator import add
 from typing import Iterator, Mapping
 
-from .errors import ExponentOverflowError, NilpotencyCapError, RingMismatchError
+from .errors import NilpotencyCapError, RingMismatchError
 from .poly import (
-    EXPONENT_CAP,
     LaurentElement,
     Point,
     Polynomial,
     Ring,
     RingMap,
     Scalar,
+    _capped,
 )
 
 # Iterated application stops with an error/None after this many steps:
@@ -88,31 +88,15 @@ class Derivation:
             table.append((i, terms))
         return den, tuple(table)
 
-    def _check_cap(self, f: Polynomial) -> None:
-        """Raise ExponentOverflowError where some product D(x_i) *
-        df/dx_i has an exponent above EXPONENT_CAP."""
-        top = f._exponent_shape()[0]
-        peak = max(max(img._exponent_shape()[0], default=0) for img in self.images)
-        if max(top, default=0) + peak <= EXPONENT_CAP:
-            return
-        for i, img in enumerate(self.images):
-            lowered = [m[:i] + (m[i] - 1,) + m[i + 1 :] for m in f._num if m[i]]
-            if img and lowered:
-                for a, b in zip(img._exponent_shape()[0], map(max, zip(*lowered))):
-                    if a + b > EXPONENT_CAP:
-                        raise ExponentOverflowError(
-                            f"exponent {a + b} exceeds cap {EXPONENT_CAP}"
-                        )
-
     def apply(self, f: Polynomial) -> Polynomial:
         """Apply the derivation once, by the Leibniz rule: the sum over
         the variables x_i of D(x_i) * df/dx_i, in one pass over the terms
         of f and of each image, with integer numerators over f's
         denominator times the lcm of the image denominators.  Builds one
-        Polynomial, the result."""
+        Polynomial, the result, through poly._capped, so a result with
+        an exponent above the cap raises ExponentOverflowError."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lies outside the ring")
-        self._check_cap(f)
         den, table = self._image_table
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
@@ -125,7 +109,7 @@ class Derivation:
                         m = tuple(map(add, mono, m))
                         acc[m] = get(m, 0) + c * scale
         out = {m: c for m, c in acc.items() if c}
-        return Polynomial._make(self.ring, out, f._den * den)
+        return _capped(self.ring, out, f._den * den)
 
     def __call__(self, f: Polynomial) -> Polynomial:
         return self.apply(f)

@@ -102,12 +102,8 @@ class MonomialOrder:
 
     @classmethod
     def from_name(cls, name: str) -> "MonomialOrder":
-        if name == "lex":
-            return cls.lex()
-        if name == "grlex":
-            return cls.grlex()
-        if name == "grevlex":
-            return cls.grevlex()
+        if name in ("lex", "grlex", "grevlex"):
+            return cls(name)
         block = name.removeprefix("elim:")
         if block != name and block.isdecimal():
             return cls.elimination(int(block))

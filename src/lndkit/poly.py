@@ -35,8 +35,11 @@ from .errors import (
 Monomial = tuple  # exponent tuple, one entry per ring variable
 Scalar = Union[int, Fraction]
 
-# Safety rail: any single exponent above this aborts the computation
-# instead of silently chewing memory.
+# Safety rail: no Polynomial holds an exponent above this.  The public
+# constructor and Derivation.apply check their result (_capped), * and
+# RingMap.apply each product's exact exponents before building it, and
+# the parser each literal; all raise ExponentOverflowError.  The Groebner
+# engine's packed fields hold a total degree below 2**15 and raise it too.
 EXPONENT_CAP = 2**16
 
 
@@ -136,23 +139,19 @@ class Polynomial:
             for e in mono:
                 if not isinstance(e, int) or e < 0:
                     raise ValueError(f"exponents must be nonnegative ints: {mono}")
-                if e > EXPONENT_CAP:
-                    raise ExponentOverflowError(
-                        f"exponent {e} exceeds cap {EXPONENT_CAP}"
-                    )
             c = Fraction(coeff)
             if c:
                 clean[mono] = c
         den = lcm(*[c.denominator for c in clean.values()])
         num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
-        return cls._make(ring, num, den)
+        return _capped(ring, num, den)
 
     @classmethod
     def _make(cls, ring: Ring, num: dict, den: int = 1) -> "Polynomial":
         """Trusted constructor for arithmetic results: `num` must map
-        valid exponent tuples to nonzero ints and `den` must be
-        positive.  Nothing is checked or copied; the pair is brought to
-        lowest terms."""
+        valid exponent tuples, none above EXPONENT_CAP, to nonzero ints
+        and `den` must be positive.  Nothing is checked or copied; the
+        pair is brought to lowest terms."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -324,11 +323,8 @@ class Polynomial:
                 return f._scaled(c, g._den)
         # leading forms multiply in a domain, so each variable's largest
         # exponent in the product is exactly the sum of the factors'
-        for a, b in zip(self._exponent_shape()[0], other._exponent_shape()[0]):
-            if a + b > EXPONENT_CAP:
-                raise ExponentOverflowError(
-                    f"exponent {a + b} exceeds cap {EXPONENT_CAP}"
-                )
+        tops = map(add, self._exponent_shape()[0], other._exponent_shape()[0])
+        _check_exponent(max(tops, default=0))
         out = _product(self._num.items(), other._num.items())
         return Polynomial._make(self.ring, out, self._den * other._den)
 
@@ -455,6 +451,19 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
+def _capped(ring: Ring, num: dict, den: int = 1) -> Polynomial:
+    """Polynomial._make(ring, num, den), raising ExponentOverflowError
+    past EXPONENT_CAP; the exponent shape it reads stays on the result."""
+    p = Polynomial._make(ring, num, den)
+    _check_exponent(max(p._exponent_shape()[0], default=0))
+    return p
+
+
+def _check_exponent(e: int) -> None:
+    if e > EXPONENT_CAP:
+        raise ExponentOverflowError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
+
+
 def _product(left: Iterable, right: Iterable) -> dict:
     """Product of two collections of (exponent tuple, int) terms as an
     exponent tuple -> nonzero int dict."""
@@ -499,9 +508,10 @@ class RingMap:
     """Ring homomorphism determined by images of the source variables.
 
     apply makes one pass over the terms of its argument and builds one
-    Polynomial, the result.  A zero image drops the term, an image of
-    one term adds its exponents and scales the coefficient, and only
-    images of several terms multiply term dicts.  Each power of an image
+    Polynomial, the result.  A zero image drops the term, and the image
+    of any other is checked against EXPONENT_CAP before a power is built.
+    An image of one term adds its exponents and scales the coefficient;
+    only images of several terms multiply term dicts.  Each image power
     is computed once, on first use, and kept on the map for every later
     call, as a term tuple over a denominator rather than a Polynomial:
     apply only walks its terms, and a Polynomial per power would add an
@@ -565,29 +575,21 @@ class RingMap:
             power = self._powers[i, e] = (tuple(terms.items()), den)
         return power
 
-    def _check_cap(self, f: Polynomial) -> None:
-        """Raise ExponentOverflowError where some term of f has a product
-        of nonzero image powers with an exponent above EXPONENT_CAP."""
-        images = self.images
-        top, used = f._exponent_shape()
-        peak = {i: max(images[i]._exponent_shape()[0], default=0) for i, _ in used}
-        if sum(peak[i] * top[i] for i in peak) <= EXPONENT_CAP:
-            return
-        for mono in f._num:
-            reach = [0] * self.target.nvars
-            for image, e in zip(images, mono):
-                if e and image:
-                    tops = image._exponent_shape()[0]
-                    reach = [r + t * e for r, t in zip(reach, tops)]
-            if max(reach) > EXPONENT_CAP:
-                raise ExponentOverflowError(
-                    f"exponent {max(reach)} exceeds cap {EXPONENT_CAP}"
-                )
+    def _kept(self, mono: tuple) -> bool:
+        """False when a zero image drops the term x^mono, else True after
+        checking its image's exact exponents, each a sum over its factors."""
+        reach = [0] * self.target.nvars
+        for image, e in zip(self.images, mono):
+            if e:
+                if not image:
+                    return False
+                reach = [r + t * e for r, t in zip(reach, image._exponent_shape()[0])]
+        _check_exponent(max(reach, default=0))
+        return True
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:
             raise RingMismatchError("polynomial lies outside the source ring")
-        self._check_cap(f)
         images = self.images
         power = self._power
         # every term's product of powers has a denominator dividing
@@ -597,13 +599,17 @@ class RingMap:
         one = (0,) * self.target.nvars
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
-        for mono, coeff in f._num.items():
+        items = f._num.items()
+        reach = sum(
+            top[i] * max(images[i]._exponent_shape()[0], default=0) for i, _ in used
+        )
+        if reach > EXPONENT_CAP or not all(images[i] for i, _ in used):
+            items = [(m, c) for m, c in items if self._kept(m)]
+        for mono, coeff in items:
             shift, scale, pden, factors = one, coeff, 1, []
             for i, e in enumerate(mono):
                 if e:
                     terms, d = power(i, e)
-                    if not terms:
-                        break  # a zero image drops the term
                     pden *= d
                     if len(terms) == 1:
                         ((m, c),) = terms
@@ -611,17 +617,16 @@ class RingMap:
                         scale *= c
                     else:
                         factors.append(terms)
-            else:
-                scale *= den // pden
-                if not factors:
-                    acc[shift] = get(shift, 0) + scale
-                    continue
-                piece = factors[0]
-                for terms in factors[1:]:
-                    piece = _product(piece, terms).items()
-                for m, c in piece:
-                    m = tuple(map(add, m, shift))
-                    acc[m] = get(m, 0) + c * scale
+            scale *= den // pden
+            if not factors:
+                acc[shift] = get(shift, 0) + scale
+                continue
+            piece = factors[0]
+            for terms in factors[1:]:
+                piece = _product(piece, terms).items()
+            for m, c in piece:
+                m = tuple(map(add, m, shift))
+                acc[m] = get(m, 0) + c * scale
         out = {m: c for m, c in acc.items() if c}
         return Polynomial._make(self.target, out, den * f._den)
 
@@ -661,10 +666,6 @@ class LaurentElement:
         self.numerator = numerator
         self.denom_var = denom_var
         self.denom_power = denom_power
-
-    @property
-    def ring(self) -> Ring:
-        return self.numerator.ring
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()

@@ -10,7 +10,7 @@ from argparse import Namespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lndkit import InputError, LndError, cli
+from lndkit import InputError, LndError, Ring, cli
 from lndkit.cli import run
 
 
@@ -215,6 +215,9 @@ def test_member_subalgebra(capsys):
     assert out(capsys) == "X1^2 - 2*X2"
     assert run(base + ["x - y", "x + y", "x*y"]) == 1
     assert out(capsys) == "not a member"
+    # homogeneous under weights (1, 2)
+    assert run(base + ["--weights", "1,2", "x^2 + y", "x", "y"]) == 0
+    assert out(capsys) == "X1^2 + X2"
 
 
 def test_member_ideal(capsys):
@@ -544,6 +547,11 @@ def test_input_errors_are_named(call):
     with pytest.raises(InputError) as info:
         call()
     assert isinstance(info.value, LndError) and isinstance(info.value, ValueError)
+
+
+def test_ring_from_weights():
+    args = Namespace(ring="x,y", weights="1,2")
+    assert cli._ring_from(args) == Ring(("x", "y"), (1, 2))
 
 
 def _run_with_derivation_file(path, data):

@@ -71,8 +71,9 @@ def test_order_names():
     named = ORDERS[:3] + [MonomialOrder.elimination(k) for k in range(4)]
     for order in named:
         assert MonomialOrder.from_name(str(order)) == order
-    with pytest.raises(ValueError):
-        MonomialOrder.from_name("degrevlex")
+    for name in ("degrevlex", "elim-grevlex", "elim", "elim:"):
+        with pytest.raises(ValueError, match="unknown order"):
+            MonomialOrder.from_name(name)
     with pytest.raises(ValueError):
         MonomialOrder.elimination(-1)
     assert str(MonomialOrder.elimination(2)) == "elim:2"
@@ -399,6 +400,9 @@ def test_relation_ideal_pinned():
     assert rel.evaluate(rel.generators[0], [t**2, t**3]).is_zero()
     with pytest.raises(ValueError):
         rel.evaluate(rel.generators[0], [t**2])
+    for build in (relation_ideal, SubalgebraTester):
+        with pytest.raises(ValueError):
+            build([])
 
 
 def test_relation_ideal_is_grlex_on_the_tags():

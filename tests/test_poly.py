@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -138,6 +140,9 @@ def test_constructor_rejects_bad_terms():
         Polynomial(R3, {(Fraction(1, 2), 0, 0): 1})
     with pytest.raises(ExponentOverflowError):
         Polynomial(R3, {(EXPONENT_CAP + 1, 0, 0): 1})
+    # the cap bounds the exponents a polynomial holds, and a zero
+    # coefficient's term is dropped
+    assert Polynomial(R3, {(EXPONENT_CAP + 1, 0, 0): 0}) == R3.zero()
 
 
 def test_exponent_cap_on_arithmetic():
@@ -156,17 +161,44 @@ def test_exponent_cap_on_arithmetic():
     assert (at_cap * Y).degree_in("x") == EXPONENT_CAP
 
 
+@contextmanager
+def within_seconds(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_exponent_cap_on_ring_maps():
     # a term's power of an image, or its product of image powers, past
-    # the cap raises even when the map builds no product Polynomial
+    # the cap raises even when the map builds no product Polynomial; an
+    # image power past it is refused before it is built and not kept
+    scale = RingMap(R2, R2, [A**40000, B])
     with pytest.raises(ExponentOverflowError):
-        RingMap(R2, R2, [A**40000, B])(A**2)
+        scale(A**2)
+    assert not scale._powers
     with pytest.raises(ExponentOverflowError):
         RingMap(R3, R3, [X**30000 + Y, X**40000 - 1, Z])(X * Y + Z)
-    # wherever a zero image sits in the term
+    # a term that a zero image drops is not checked, wherever the zero
+    # image sits in the term and whatever the other images' powers
     for imgs in ([R3.zero(), X**40000, X**40000], [X**40000, X**40000, R3.zero()]):
-        with pytest.raises(ExponentOverflowError):
-            RingMap(R3, R3, imgs)(X * Y * Z)
+        assert RingMap(R3, R3, imgs)(X * Y * Z) == R3.zero()
+    assert RingMap(R2, R2, [A**40000, R2.zero()])(A**2 * B) == R2.zero()
+    assert RingMap(R2, R2, [R2.zero(), A**40000])(A * B**2) == R2.zero()
+    # a product of image powers past the cap raises before any power
+    # is built, though each power alone stays under it
+    spread = RingMap(R2, R2, [A + 1, A])
+    with within_seconds(5), pytest.raises(ExponentOverflowError):
+        spread(A**40000 * B**40000)
+    assert not spread._powers
     assert RingMap(R2, R2, [A**32768, B])(A**2) == A**EXPONENT_CAP
     # each term stays under the cap, though the sum of tops would not
     assert RingMap(R2, R2, [A**40000, B])(A + B**60000) == A**40000 + B**60000
