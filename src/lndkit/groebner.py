@@ -25,14 +25,15 @@ Both derived tools build one ideal the same way: one tag variable
 X1..Xk per element, under a block order that eliminates the ring
 variables (grlex on them).  They differ in how they order the tags.
 relation_ideal orders them grlex, so its reduced basis stays the pinned
-one.  The tester breaks tag ties grevlex, because the grevlex tag ideal
-has a much smaller basis and a membership answer does not depend on the
-order; when the elements satisfy relations, its representation is one
-of several tag polynomials with the same value.  The tester also
-decides whether a tag polynomial lies in the relation ideal plus one
-tag, on a second engine fed with its own tag-only entries, which is
-how kernel_check decides a relation quotient without reducing it in the
-whole ring.
+one.  The tester orders them by weighted reverse-lex, each tag weighted
+by the degree of its element, which is the grading its lazy completion
+follows: that basis is much smaller, and a membership answer does not
+depend on the order; when the elements satisfy relations, its
+representation is one of several tag polynomials with the same value.
+The tag taken last is the one the tester is told to, and for it the
+tester decides whether a tag polynomial lies in the relation ideal plus
+that tag by one reduction (Bayer-Stillman), which is how kernel_check
+decides a relation quotient without reducing it in the whole ring.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ExponentOverflowError, RingMismatchError
 from .poly import Polynomial, Ring, RingMap
@@ -55,22 +56,40 @@ class MonomialOrder:
     """A monomial order.  Every one is a list of integer weight rows
     (Robbiano, "Term orderings on the polynomial ring", EUROCAL 1985);
     _rows gives them and _Packing packs by them.  The fields are
-    checked at construction: kind is one of the five below, and block is
-    a nonnegative int for the elimination kinds and None otherwise."""
+    checked at construction: kind is one of the five below, block is a
+    nonnegative int for the elimination kinds and None otherwise, and
+    only "elim-wrevlex" takes weights (one positive int per variable
+    after the block) and last (the index of one of them).  That is the
+    subalgebra tester's order: like elimination(block), but ties are
+    broken by reverse-lex on the rest (the tags), weighted by weights,
+    with variable block + last taken last."""
 
     kind: str
     block: int | None = None
+    weights: tuple[int, ...] | None = None
+    last: int | None = None
 
     def __post_init__(self):
+        def natural(v):
+            return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
         if self.kind in ("lex", "grlex", "grevlex"):
             if self.block is not None:
                 raise ValueError(f"order {self.kind} takes no block size")
-        elif self.kind in ("elim", "elim-grevlex"):
-            block = self.block
-            if not isinstance(block, int) or isinstance(block, bool) or block < 0:
-                raise ValueError("block size must be a nonnegative int")
-        else:
+        elif self.kind not in ("elim", "elim-wrevlex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
+        elif not natural(self.block):
+            raise ValueError("block size must be a nonnegative int")
+        if self.kind != "elim-wrevlex":
+            if (self.weights, self.last) != (None, None):
+                raise ValueError(f"order {self.kind} takes no weights")
+        elif not (
+            isinstance(self.weights, tuple)
+            and all(natural(w) and w for w in self.weights)
+            and natural(self.last)
+            and self.last < len(self.weights)
+        ):
+            raise ValueError("weights must be positive ints and last must index one")
 
     @classmethod
     def lex(cls) -> "MonomialOrder":
@@ -95,12 +114,6 @@ class MonomialOrder:
         return cls("elim", block)
 
     @classmethod
-    def _tag_elimination(cls, block: int) -> "MonomialOrder":
-        """The subalgebra tester's order: like elimination(block), but
-        ties are broken grevlex on the rest (the tag block)."""
-        return cls("elim-grevlex", block)
-
-    @classmethod
     def from_name(cls, name: str) -> "MonomialOrder":
         if name in ("lex", "grlex", "grevlex"):
             return cls(name)
@@ -114,32 +127,41 @@ class MonomialOrder:
         significant first: monomials compare as their row products do,
         lexicographically.  Every variable has a unit row, its raw
         exponent, after any other row that involves it.  An elimination
-        block larger than n raises ValueError."""
-        if self.block is not None and self.block > n:
+        block larger than n, or weights for other than the n - block
+        variables after it, raise ValueError."""
+        block = self.block
+        if block is not None and block > n:
             raise ValueError(
-                f"order {self} eliminates {self.block} variables but the ring has {n}"
+                f"order {self} eliminates {block} variables but the ring has {n}"
+            )
+        if self.weights is not None and len(self.weights) != n - block:
+            raise ValueError(
+                f"order {self} weighs {len(self.weights)} variables but the ring "
+                f"has {n - block} after the block"
             )
 
-        def ones(lo: int, hi: int) -> tuple[int, ...]:
-            return tuple(int(lo <= i < hi) for i in range(n))
+        def row(weights: dict[int, int]) -> tuple[int, ...]:
+            return tuple(weights.get(i, 0) for i in range(n))
 
         def graded(lo: int, hi: int, reverse: bool = False) -> list[tuple[int, ...]]:
-            # the degree of the block lo..hi-1, then its exponents; for
-            # grevlex the partial sums of its exponents below m, m from
-            # hi-1 down, reproduce the reversed-negated ties
-            ties = range(hi - 1, lo, -1) if reverse else ()
-            return [
-                ones(lo, hi), *(ones(lo, m) for m in ties),
-                *(ones(j, j + 1) for j in range(lo, hi)),
+            # the weighted degree of the block lo..hi-1, then its
+            # exponents; for reverse-lex the weighted partial sums over
+            # its variables before the m-th, m from the last down,
+            # reproduce the reversed-negated ties (positive weights)
+            weights = self.weights if reverse and self.weights else (1,) * (hi - lo)
+            seq = list(range(lo, hi))
+            if reverse and self.last is not None:
+                seq.append(seq.pop(self.last))
+            sums = (len(seq), *range(len(seq) - 1, 0, -1)) if reverse else (len(seq),)
+            return [row({j: weights[j - lo] for j in seq[:m]}) for m in sums] + [
+                row({j: 1}) for j in range(lo, hi)
             ]
 
         if self.kind == "lex":  # the exponents alone
             return graded(0, n)[1:]
-        if self.kind in ("grlex", "grevlex"):
+        if block is None:
             return graded(0, n, self.kind == "grevlex")
-        return graded(0, self.block) + graded(
-            self.block, n, self.kind == "elim-grevlex"
-        )
+        return graded(0, block) + graded(block, n, self.kind == "elim-wrevlex")
 
     def __str__(self) -> str:
         return self.kind if self.block is None else f"{self.kind}:{self.block}"
@@ -156,7 +178,7 @@ class _Packing:
     then agrees with the monomial order, addition and subtraction act
     exponentwise, and the spare top bit of every field is a guard that
     turns divisibility and lcm into a couple of bitwise operations.  Any
-    field reaching 2^15 (total degree included) raises
+    field reaching 2^15, weighted rows included, raises
     ExponentOverflowError rather than corrupting a neighbour.
     """
 
@@ -177,11 +199,21 @@ class _Packing:
         self.raw_shifts = tuple(raw[j] for j in range(nvars))
         self.guard = sum(self.LIMIT << s for s in self.shifts)
         self.mask = (1 << width) - 1
+        # every field is at most the heaviest weight times the degree
+        self._rows = rows
+        self._heaviest = max((w for row in rows for w in row), default=1)
+        if self._heaviest >= self.LIMIT:
+            raise ExponentOverflowError(
+                f"weight {self._heaviest} exceeds the packed-field limit"
+            )
 
     def pack(self, mono: tuple[int, ...]) -> int:
-        if sum(mono) >= self.LIMIT:
+        limit = self.LIMIT
+        if sum(mono) * self._heaviest >= limit and any(
+            sum(w * e for w, e in zip(row, mono)) >= limit for row in self._rows
+        ):
             raise ExponentOverflowError(
-                f"total degree {sum(mono)} exceeds the packed-monomial limit"
+                f"monomial {mono} exceeds the packed-field limit"
             )
         p = 0
         units = self.units
@@ -193,10 +225,6 @@ class _Packing:
     def unpack(self, p: int) -> tuple[int, ...]:
         mask = self.mask
         return tuple((p >> s) & mask for s in self.raw_shifts)
-
-    def lcm(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """The packed lcm of two exponent tuples."""
-        return self.pack(tuple(x if x >= y else y for x, y in zip(a, b)))
 
     def pack_poly(self, f: Polynomial, start: int = 0) -> tuple[dict, int]:
         """(packed integer numerators of f, their denominator).
@@ -400,20 +428,21 @@ class _Engine:
     one, and old pairs die when the new lead divides their lcm strictly
     between the two old lcms.  Retired elements (lead
     divisible by a newer lead) stop forming pairs but keep reducing.
-    Each lcm with the newest lead is taken once: the sum of the packed
-    leads when they share no variable, else on exponent tuples.
+    Each lcm with the newest lead is taken once, as the sum of the
+    packed leads less the shared part, and so is its weighted degree.
 
     When every input is homogeneous for the selection weights, the pop
     degree never decreases, so after complete_to(d) the basis computes
     exact normal forms for anything of weighted degree at most d; the
     reducer's full reduction then yields the canonical normal form even
-    though the working basis is not interreduced.  Every adjoined
-    element is made primitive, so the basis carries no denominators.
+    though the working basis is not interreduced.  Without selection
+    weights every weight is 0.  Every adjoined element is made
+    primitive, so the basis carries no denominators.
     """
 
     __slots__ = (
-        "packing", "guard", "weights", "basis", "lm_tuples", "supports",
-        "alive", "pairs", "pair_heap", "reducer", "_reduced",
+        "packing", "guard", "weights", "basis", "lm_tuples", "wdegs",
+        "supports", "alive", "pairs", "pair_heap", "reducer", "_reduced",
     )
 
     def __init__(
@@ -424,9 +453,11 @@ class _Engine:
     ):
         self.packing = packing
         self.guard = packing.guard
-        self.weights = tuple(weights) if weights else None
+        self.weights = tuple(weights) if weights else (0,) * packing.nvars
         self.basis: list[tuple] = []
         self.lm_tuples: list[tuple[int, ...]] = []
+        # the weighted degree of each lead
+        self.wdegs: list[int] = []
         # bit j set when variable j occurs in the lead
         self.supports: list[int] = []
         self.alive: list[bool] = []
@@ -441,22 +472,34 @@ class _Engine:
         guard = self.guard
         basis = self.basis
         lm_tuples = self.lm_tuples
+        wdegs = self.wdegs
         supports = self.supports
         alive = self.alive
         pairs = self.pairs
-        pack_lcm = self.packing.lcm
-        T, St, Tp = lm_tuples[t], supports[t], basis[t][0]
+        units = self.packing.units
+        weights = self.weights
+        T, St, Tp, Tw = lm_tuples[t], supports[t], basis[t][0], wdegs[t]
+        occurs = [(j, e) for j, e in enumerate(T) if e]
         lcms = []
         cand = []
         for i in range(t):
+            # the fields of the sum stay below 2^16, so none carries
+            plcm = basis[i][0] + Tp
+            wdeg = wdegs[i] + Tw
             shares = supports[i] & St
             if shares:
-                plcm = pack_lcm(lm_tuples[i], T)
-            else:
-                plcm = _checked(basis[i][0] + Tp, guard)
+                L = lm_tuples[i]
+                for j, e in occurs:
+                    x = L[j]
+                    if x:
+                        if x > e:
+                            x = e
+                        plcm -= x * units[j]
+                        wdeg -= x * weights[j]
+            _checked(plcm, guard)
             lcms.append(plcm)
             if alive[i]:
-                cand.append((plcm, shares != 0, i))
+                cand.append((plcm, shares != 0, i, wdeg))
                 if plcm == basis[i][0]:
                     alive[i] = False
         for key, plcm in list(pairs.items()):
@@ -470,24 +513,25 @@ class _Engine:
         # dividing its own; coprime ones sort first in a tie and are kept
         # for this test but never queued
         kept: list[int] = []
-        weights = self.weights
-        for plcm, shares, i in sorted(cand):
+        heap = self.pair_heap
+        for plcm, shares, i, wdeg in sorted(cand):
             if shares:
                 raised = plcm | guard
-                if any((raised - q) & guard == guard for q in kept):
-                    continue
-                wdeg = plcm
-                if weights:
-                    L = lm_tuples[i]
-                    wdeg = sum(w * (x if x >= y else y) for w, x, y in zip(weights, L, T))
-                pairs[(i, t)] = plcm
-                heapq.heappush(self.pair_heap, (wdeg, plcm, i, t))
-            kept.append(plcm)
+                for q in kept:
+                    if (raised - q) & guard == guard:
+                        break
+                else:
+                    pairs[(i, t)] = plcm
+                    heapq.heappush(heap, (wdeg, plcm, i, t))
+                    kept.append(plcm)
+            else:
+                kept.append(plcm)
 
     def _adjoin(self, d: dict) -> None:
         self.basis.append(_entry(d))
         T = self.packing.unpack(self.basis[-1][0])
         self.lm_tuples.append(T)
+        self.wdegs.append(sum(w * e for w, e in zip(self.weights, T)))
         self.supports.append(sum(1 << j for j, e in enumerate(T) if e))
         self.alive.append(True)
         self._update(len(self.basis) - 1)
@@ -558,7 +602,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     packing = _Packing(order, ring.nvars)
     ea = _entry(packing.pack_poly(f)[0])
     eb = _entry(packing.pack_poly(g)[0])
-    plcm = packing.lcm(packing.unpack(ea[0]), packing.unpack(eb[0]))
+    plcm = packing.pack(tuple(map(max, packing.unpack(ea[0]), packing.unpack(eb[0]))))
     # the integer s-polynomial of the primitive parts is lcm(lca, lcb) times it
     out = _spoly(ea, eb, plcm, packing.guard)
     return packing.unpack_poly(ring, out, den=lcm(ea[1], eb[1]))
@@ -628,7 +672,7 @@ def _moved(d: dict, moves: tuple[tuple[int, int], ...], mask: int) -> dict:
 
 
 def _tag_ideal(
-    elements: tuple[Polynomial, ...], order: Callable[[int], MonomialOrder]
+    elements: tuple[Polynomial, ...], last: int | None = None
 ) -> tuple[Ring, Ring, _Packing, _Engine, bool, tuple]:
     """The ideal of the den*g_i - den*X_i, one fresh tag X_i per element
     g_i with denominator den, in the ring extended by the tags.
@@ -637,13 +681,15 @@ def _tag_ideal(
     every other generator reads X_i for y: the ideal is the same, so its
     reduced basis and every normal form are too, but no reduction needs
     y - X_i to rename y one exponent at a time.  The first such element
-    names y.  Returns the ring, the ring of the tags, the packing under
-    order(number of ring variables), the engine on the ideal, whether
-    every element is weighted homogeneous and the moves that rename a
-    packed dict of the ring onto the tags (for _moved).  A tag's selection weight is
-    the weighted degree of its element, so the rename keeps degrees.
-    The order eliminates the ring variables, so a monomial is tag-only
-    exactly when it packs below its head-degree field,
+    names y.  Returns the ring, the ring of the tags, the packing, the
+    engine on the ideal, whether every element is weighted homogeneous
+    and the moves that rename a packed dict of the ring onto the tags
+    (for _moved).  A tag's selection weight is the weighted degree of
+    its element (1 for a zero element), so the rename keeps degrees.
+    The order eliminates the ring variables; on the tags it is grlex
+    when last is None, else weighted reverse-lex by the selection
+    weights (1 in place of 0) with X_last taken last.  So a monomial is
+    tag-only exactly when it packs below its head-degree field,
     1 << packing.shifts[0].
     """
     if not elements:
@@ -651,7 +697,15 @@ def _tag_ideal(
     ring = _common_ring(elements)
     tag_ring = Ring(_fresh_tag_names(ring, len(elements)))
     n = ring.nvars
-    packing = _Packing(order(n), n + tag_ring.nvars)
+    degrees = [
+        {sum(w * e for w, e in zip(ring.weights, m)) for m in g._num}
+        for g in elements
+    ]
+    weights = (*ring.weights, *(max(ds, default=1) for ds in degrees))
+    order = MonomialOrder.elimination(n) if last is None else (
+        MonomialOrder("elim-wrevlex", n, tuple(max(w, 1) for w in weights[n:]), last)
+    )
+    packing = _Packing(order, n + tag_ring.nvars)
     units = packing.units
     names: dict[int, int] = {}
     for i, g in enumerate(elements):
@@ -663,19 +717,15 @@ def _tag_ideal(
         (packing.raw_shifts[j], units[n + i] - units[j]) for j, i in names.items()
     )
     kept = set(names.values())
-    weights = list(ring.weights)
-    homogeneous = True
     ideal = []
     for i, g in enumerate(elements):
-        degrees = {sum(w * e for w, e in zip(ring.weights, m)) for m in g._num}
-        homogeneous = homogeneous and len(degrees) <= 1
-        weights.append(max(degrees, default=1))
         d, den = packing.pack_poly(g)
         if i not in kept:
             d = _moved(d, moves, packing.mask)
         d[units[n + i]] = -den
         ideal.append(d)
     engine = _Engine(ideal, packing, weights)
+    homogeneous = all(len(ds) <= 1 for ds in degrees)
     return ring, tag_ring, packing, engine, homogeneous, moves
 
 
@@ -706,16 +756,18 @@ class SubalgebraTester:
 
     Builds a Groebner basis of the ideal (g_i - tag_i) in the ring
     extended by one tag per element, under a block order that eliminates
-    the original variables (grlex on them) and breaks ties grevlex on
-    the tags; relation_ideal builds the same ideal with grlex on the
-    tags, whose larger basis it pins.  The normal form of f lands in the
-    tag ring exactly when f belongs to the subalgebra, and the remainder
-    is a representing polynomial: exact and deterministic, but when the
-    elements satisfy relations not the only one.  When every element is
-    homogeneous for the ring's weights, the basis is completed lazily:
-    each membership query extends it just past the query's weighted
-    degree, which is as far as the answer can depend on.  Otherwise the
-    first query completes it.
+    the original variables (grlex on them) and breaks ties by weighted
+    reverse-lex on the tags, each tag weighted by the degree of its
+    element and the tag of element last taken last (the final element
+    unless last names another); relation_ideal builds the same ideal
+    with grlex on the tags, whose larger basis it pins.  The normal form
+    of f lands in the tag ring exactly when f belongs to the subalgebra,
+    and the remainder is a representing polynomial: exact and
+    deterministic, but when the elements satisfy relations not the only
+    one.  When every element is homogeneous for the ring's weights, the
+    basis is completed lazily: each membership query extends it just
+    past the query's weighted degree, which is as far as the answer can
+    depend on.  Otherwise the first query completes it.
 
     An element that is a ring variable y itself is renamed onto its tag
     (see _tag_ideal), and so is y in every query: the query keeps its
@@ -725,30 +777,33 @@ class SubalgebraTester:
     None.
 
     multiple_of decides membership of a quotient P(elements)/element
-    from P alone, in the tag ring, on one more engine per element index
-    that grows with this one; see there.
+    from P alone, in the tag ring; for element last, by one reduction.
     """
 
-    def __init__(self, elements: Sequence[Polynomial]):
+    def __init__(self, elements: Sequence[Polynomial], last: int | None = None):
         self.elements = tuple(elements)
+        self.last = len(self.elements) - 1 if last is None else last
         (
             self.ring, self.tag_ring, self._packing, self._engine, self._lazy,
             self._moves,
-        ) = _tag_ideal(self.elements, MonomialOrder._tag_elimination)
-        # per element index: the engine on J + (tag), and how many
-        # entries of the tester's engine it has taken in
-        self._multiples: dict[int, list] = {}
+        ) = _tag_ideal(self.elements, self.last)
 
     def _complete(self, engine: _Engine, f: Polynomial, start: int = 0) -> None:
         """Complete engine as far as reducing f, packed from variable
-        start on, needs: fully unless the tester is lazy."""
+        start on, needs: fully unless the tester is lazy.  The weighted
+        degree of f bounds the tag fields of f even after renaming, so
+        one of 2^15 or more raises ExponentOverflowError."""
+        if f:
+            weights = self._engine.weights[start:]
+            degree = max(sum(w * e for w, e in zip(weights, m)) for m in f._num)
+            if degree >= _Packing.LIMIT:
+                raise ExponentOverflowError(
+                    f"weighted degree {degree} exceeds the packed-field limit"
+                )
         if not self._lazy:
             engine.complete()
         elif f:
-            weights = self._engine.weights[start:]
-            engine.complete_to(
-                max(sum(w * e for w, e in zip(weights, m)) for m in f._num)
-            )
+            engine.complete_to(degree)
 
     def representation(self, f: Polynomial) -> Polynomial | None:
         """A polynomial over the tags evaluating to f, or None."""
@@ -770,18 +825,23 @@ class SubalgebraTester:
         return self.representation(f) is not None
 
     def multiple_of(self, relation: Polynomial, index: int) -> bool:
-        """Whether relation, over the tags, lies in J + (tag index), J
-        the ideal of the relations among the elements.
+        """Whether relation, over the tags, lies in J + (X), J the ideal
+        of the relations among the elements and X the tag at index.
 
         With g the elements and P(g) divisible by g[index], that is
-        exactly when P(g)/g[index] lies in the subalgebra: P = tag*R + j,
+        exactly when P(g)/g[index] lies in the subalgebra: P = X*R + j,
         j in J, gives P(g)/g[index] = R(g), and P(g)/g[index] = R(g)
-        gives P - tag*R in J.  The tester's tag-only entries generate J
+        gives P - X*R in J.  The tester's tag-only entries generate J
         (the order eliminates the ring variables), and after
-        complete_to(d) they are a Groebner basis of J up to degree d; so
-        the engine on J + (tag) starts from the tag, adds each tag-only
-        entry as the tester makes it and completes as lazily as the
-        tester does.  No ring term is ever reduced.
+        complete_to(d) they are a Groebner basis of J up to degree d.
+        When the tester is lazy, J is homogeneous for the tag weights, so
+        for X the tag taken last, of positive weight, in(J + (X)) =
+        in(J) + (X) (Bayer-Stillman; Eisenbud, Prop. 15.12): those
+        entries and X are a Groebner basis of J + (X), and relation lies
+        in it exactly when one reduction of its terms prime to X leaves
+        only multiples of X.  Otherwise a fresh engine on those entries
+        and X is completed as far as the tester is.  No ring term is
+        ever reduced.
         """
         if relation.ring != self.tag_ring:
             raise RingMismatchError("relation lies outside the tag ring")
@@ -791,31 +851,24 @@ class SubalgebraTester:
         engine = self._engine
         n = self.ring.nvars
         self._complete(engine, relation, n)
-        multiple = self._multiples.get(index)
-        if multiple is None:
-            tag = {packing.units[n + index]: 1}
-            multiple = self._multiples[index] = [
-                _Engine([tag], packing, engine.weights), 0
-            ]
-        ideal, taken = multiple
-        tag_only = 1 << packing.shifts[0]
-        for lm, lc, tail in engine.basis[taken:]:
-            if lm < tag_only:
-                entry = dict(tail)
-                entry[lm] = lc
-                ideal.add(entry)
-        multiple[1] = len(engine.basis)
-        self._complete(ideal, relation, n)
         d, _ = packing.pack_poly(relation, n)
+        if self._lazy and index == self.last and engine.weights[n + index]:
+            shift, mask = packing.raw_shifts[n + index], packing.mask
+            remainder, _ = engine.reducer.reduce(
+                {m: c for m, c in d.items() if not (m >> shift) & mask}
+            )
+            return all((m >> shift) & mask for m in remainder)
+        tag_only = 1 << packing.shifts[0]
+        entries = [{**dict(t), lm: lc} for lm, lc, t in engine.basis if lm < tag_only]
+        ideal = _Engine([{packing.units[n + index]: 1}, *entries], packing, engine.weights)
+        self._complete(ideal, relation, n)
         return not ideal.reducer.reduce(d)[0]
 
 
 def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
     """The ideal of algebraic relations among the given elements, as its
     reduced Groebner basis under grlex on the tags."""
-    ring, tag_ring, packing, engine, _, _ = _tag_ideal(
-        tuple(elements), MonomialOrder.elimination
-    )
+    ring, tag_ring, packing, engine, _, _ = _tag_ideal(tuple(elements))
     # the reduced basis ascends by lead; its tag-only elements, which
     # the head block orders first, are the relations
     generators = tuple(

@@ -20,7 +20,8 @@ computed, the candidates substituted back into each relation, the
 result divided by loc once, and each quotient tested for membership in
 A.  The test runs in the tag ring: with J the relations among the
 candidates, the quotient of a relation P lies in A exactly when P lies
-in J + (tag of loc) (SubalgebraTester.multiple_of), and only a member
+in J + (tag of loc) (SubalgebraTester.multiple_of).  The tester orders
+the tag of loc last, so that is one reduction of P, and only a member
 is then rewritten into its representation.  Numerators and quotients
 outside A are the new kernel elements; a round without any certifies
 that the candidates generate the kernel.
@@ -203,9 +204,10 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     included (members), and every relation is divided and tested,
     vanishing ones included (quotient 0, represented by 0).  A
     relation's quotient is decided by SubalgebraTester.multiple_of on
-    the relation itself, so a quotient outside the algebra is never
-    reduced in the whole ring; a representation is built only for a
-    member.
+    the relation itself, by one reduction in the tag ring, since the
+    tester is told to take the tag of the localized variable last; so
+    a quotient outside the algebra is never reduced in the whole ring,
+    and a representation is built only for a member.
     """
     candidates = tuple(candidates)
     if not candidates:
@@ -223,7 +225,8 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     if loc_poly not in candidates:
         raise ValueError("the localized variable must be among the candidates")
 
-    tester = SubalgebraTester(candidates)
+    loc_index = candidates.index(loc_poly)
+    tester = SubalgebraTester(candidates, loc_index)
 
     # Sufficiency: the numerator of every localized kernel generator is
     # invariant, so one outside the candidate algebra is a new element.
@@ -239,7 +242,6 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     relations = relation_ideal(images)
     substitute = RingMap(relations.tag_ring, ring, candidates)
 
-    loc_index = candidates.index(loc_poly)
     checks = []
     for relation in relations.generators:
         quotient = substitute(relation).exact_divide_var(slc.loc_var, 1)

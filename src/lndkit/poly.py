@@ -39,7 +39,7 @@ Scalar = Union[int, Fraction]
 # constructor and Derivation.apply check their result (_capped), * and
 # RingMap.apply each product's exact exponents before building it, and
 # the parser each literal; all raise ExponentOverflowError.  The Groebner
-# engine's packed fields hold a total degree below 2**15 and raise it too.
+# engine's packed fields hold values below 2**15 and raise it too.
 EXPONENT_CAP = 2**16
 
 

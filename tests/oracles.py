@@ -44,10 +44,18 @@ def order_key(order):
         return lambda m: (sum(m), tuple(-e for e in reversed(m)))
     if order.kind == "elim":
         return lambda m: (sum(m[:k]), m[:k], sum(m[k:]), m[k:])
-    if order.kind == "elim-grevlex":
-        return lambda m: (
-            sum(m[:k]), m[:k], sum(m[k:]), tuple(-e for e in reversed(m[k:]))
-        )
+    if order.kind == "elim-wrevlex":
+        # weighted degree of the tags, then the smaller exponent wins in
+        # the last tag that differs, the tag at order.last counted last
+        weights, last = order.weights, order.last
+
+        def key(m):
+            tags = m[k:]
+            seq = tags[:last] + tags[last + 1 :] + tags[last : last + 1]
+            weighted = sum(w * e for w, e in zip(weights, tags))
+            return sum(m[:k]), m[:k], weighted, tuple(-e for e in reversed(seq))
+
+        return key
     raise ValueError(f"unknown order kind {order.kind!r}")
 
 

@@ -49,10 +49,10 @@ ORDERS = [
     MonomialOrder.elimination(2),
 ]
 
-# the subalgebra tester's own order, one ring variable and three tags:
-# grevlex and grlex agree on two tags
+# the subalgebra tester's own order, one ring variable and three tags
+# weighted 2, 1, 3, the first tag taken last
 T1 = Ring(("t",)).var("t")
-TESTER_ORDER = MonomialOrder._tag_elimination(1)
+TESTER_ORDER = MonomialOrder("elim-wrevlex", 1, (2, 1, 3), 0)
 PACKED_ORDERS = [*ORDERS, TESTER_ORDER]
 
 
@@ -71,7 +71,7 @@ def test_order_names():
     named = ORDERS[:3] + [MonomialOrder.elimination(k) for k in range(4)]
     for order in named:
         assert MonomialOrder.from_name(str(order)) == order
-    for name in ("degrevlex", "elim-grevlex", "elim", "elim:"):
+    for name in ("degrevlex", "elim-wrevlex", str(TESTER_ORDER), "elim", "elim:"):
         with pytest.raises(ValueError, match="unknown order"):
             MonomialOrder.from_name(name)
     with pytest.raises(ValueError):
@@ -97,15 +97,50 @@ def test_order_fields_are_checked(kind, block):
         MonomialOrder(kind, block)
 
 
+@pytest.mark.parametrize(
+    "kind, block, weights, last",
+    [
+        # only the tester's order takes weights and a last tag, and a block
+        ("elim", 1, (1,), None),
+        ("grevlex", None, None, 0),
+        ("elim-wrevlex", None, (1,), 0),
+        # one positive int weight per tag, in a tuple
+        ("elim-wrevlex", 1, None, 0),
+        ("elim-wrevlex", 1, (), 0),
+        ("elim-wrevlex", 1, (1, 0), 0),
+        ("elim-wrevlex", 1, (1, -2), 0),
+        ("elim-wrevlex", 1, (1, True), 0),
+        ("elim-wrevlex", 1, (1, 2.0), 0),
+        ("elim-wrevlex", 1, [1, 2], 0),
+        # the last tag indexes the weights
+        ("elim-wrevlex", 1, (1, 2), None),
+        ("elim-wrevlex", 1, (1, 2), 2),
+        ("elim-wrevlex", 1, (1, 2), -1),
+        ("elim-wrevlex", 1, (1, 2), True),
+    ],
+)
+def test_tag_order_fields_are_checked(kind, block, weights, last):
+    with pytest.raises(ValueError):
+        MonomialOrder(kind, block, weights, last)
+
+
 def test_elimination_block_must_fit_the_ring():
     # the order meets the ring in _rows, so that is where a block too
-    # large for it is refused, by every caller that packs
+    # large for it, or a weight count other than the tag count, is
+    # refused, by every caller that packs
     assert len(MonomialOrder.elimination(5)._rows(5)) == 2 + 5
-    for order in (MonomialOrder.elimination(6), MonomialOrder._tag_elimination(4)):
+    for order in (
+        MonomialOrder.elimination(6),
+        MonomialOrder("elim-wrevlex", 4, (1,), 0),
+    ):
         with pytest.raises(ValueError, match="but the ring has"):
             order._rows(order.block - 1)
     with pytest.raises(ValueError):
         buchberger([X - Y], MonomialOrder.elimination(4))
+    assert len(TESTER_ORDER._rows(4)) == 2 + 1 + 2 + 3
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="weighs 3 variables"):
+            TESTER_ORDER._rows(n)
 
 
 def test_grlex_vs_grevlex():
@@ -122,12 +157,19 @@ def test_elimination_order_blocks():
     # any positive power of the first variable beats everything without it
     assert key((1, 0, 0)) > key((0, 9, 9))
     assert key((0, 2, 1)) > key((0, 1, 1))
-    # the tester keeps the head block and breaks tag ties grevlex:
-    # X1*X3^2 against X2^2*X3, as in test_grlex_vs_grevlex
+    # the tester keeps the head block, then compares the weighted degree
+    # of the tags (2, 1, 3): X2^3 is below X1^2, unlike under grlex
     tester_key = oracles.order_key(TESTER_ORDER)
     assert tester_key((1, 0, 0, 0)) > tester_key((0, 9, 9, 9))
-    assert tester_key((0, 1, 0, 2)) < tester_key((0, 0, 2, 1))
-    assert key((0, 1, 0, 2)) > key((0, 0, 2, 1))
+    assert tester_key((0, 0, 3, 0)) < tester_key((0, 2, 0, 0))
+    assert key((0, 0, 3, 0)) > key((0, 2, 0, 0))
+    # X1*X2, X3 and X2^3 all weigh 3; reverse-lex with X1 taken last
+    # puts any multiple of X1 lowest, then the larger power of X3
+    ties = [(0, 1, 1, 0), (0, 0, 0, 1), (0, 0, 3, 0)]
+    assert sorted(ties, key=tester_key) == ties
+    # with the final tag X3 taken last, X3 is lowest instead
+    final_last = oracles.order_key(MonomialOrder("elim-wrevlex", 1, (2, 1, 3), 2))
+    assert sorted(ties, key=final_last) == [ties[1], ties[2], ties[0]]
 
 
 # -- packed monomials vs plain keys ------------------------------------------
@@ -191,6 +233,32 @@ def test_packing_overflow():
         packing.pack((20000, 20000))
     # just under the limit is fine
     assert packing.unpack(packing.pack((32767, 0))) == (32767, 0)
+
+
+def test_packing_overflow_in_a_weighted_field():
+    # total degree 40, far below 2^15, but the tags' weighted degree
+    # field would hold 40000
+    packing = _Packing(MonomialOrder("elim-wrevlex", 1, (1000, 1), 1), 3)
+    with pytest.raises(ExponentOverflowError):
+        packing.pack((0, 40, 0))
+    with pytest.raises(ExponentOverflowError):
+        packing.pack((1, 32, 768))
+    assert packing.unpack(packing.pack((1, 32, 767))) == (1, 32, 767)
+
+
+def test_renamed_query_cannot_overflow_a_weighted_field():
+    # x weighs 4 and is renamed onto its tag, so x^17000 would put 68000
+    # in the tags' weighted-degree field, which would carry into the next
+    ring = Ring(("x", "y"), (4, 1))
+    x, y = ring.var("x"), ring.var("y")
+    tester = SubalgebraTester([x, y])
+    assert str(tester.representation(x**8000)) == "X1^8000"
+    for e in (9000, 17000):
+        with pytest.raises(ExponentOverflowError):
+            tester.representation(x**e)
+    # a tag too heavy for its field is refused when the tester is built
+    with pytest.raises(ExponentOverflowError):
+        SubalgebraTester([x**9000, y])
 
 
 EXT = Ring(("x", "y", "X1", "X2"))
@@ -540,7 +608,9 @@ def test_membership_agrees_with_brute_force(elements, data):
 @settings(max_examples=30)
 @given(_homogeneous_elements(most=4), st.data())
 def test_multiple_of_agrees_with_ideal_membership(elements, data):
-    tester = SubalgebraTester(elements)
+    # the tag taken last is decided by one reduction, the others each on
+    # an engine of their own
+    tester = SubalgebraTester(elements, data.draw(st.integers(0, len(elements) - 1)))
     relations = relation_ideal(elements).generators
     tags = [tester.tag_ring.var(name) for name in tester.tag_ring.variables]
     lift, nudge = (data.draw(_polys(tester.tag_ring, 2, 2, _SCALARS)) for _ in "ln")
@@ -553,21 +623,38 @@ def test_multiple_of_agrees_with_ideal_membership(elements, data):
 
 @pytest.mark.parametrize("first", ["x^3", "x^3 + 1"])
 def test_multiple_of_completes_the_ideal(first):
-    # here J's basis reduced modulo X3 is no Groebner basis of J + (X3):
-    # without the pairs of its own engine, multiple_of misses the
-    # degree-6 relation at index 2.  x^3 + 1 makes the first element
-    # inhomogeneous, so the tester completes at once instead of lazily
+    # J's entries and a tag other than the one taken last are no
+    # Groebner basis of J + (tag): with X4 last, reducing by them alone
+    # misses the degree-6 relation at index 0 and X2^2 - 2*X2*X3 -
+    # 2*X2*X4 + 2*X3*X4 at index 1, so multiple_of completes an engine
+    # of its own there.  x^3 + 1 makes the first element inhomogeneous,
+    # so the tester completes at once instead of lazily, and decides
+    # every index on such an engine
     elements = [parse_polynomial(text, R2) for text in (
         first, "2*x*y", "x^2 + 2*x*y", "2*x*y + 2*y^2"
     )]
-    tester = SubalgebraTester(elements)
-    assert tester._lazy == (first == "x^3")
     relations = relation_ideal(elements).generators
-    tags = [tester.tag_ring.var(name) for name in tester.tag_ring.variables]
-    for index, tag in enumerate(tags):
-        for query in (*relations, tags[index - 1] ** 2, tags[index - 1] * tag):
-            expected = ideal_membership(query, [*relations, tag])
-            assert tester.multiple_of(query, index) == expected
+    for last in range(len(elements)):
+        tester = SubalgebraTester(elements, last)
+        assert tester._lazy == (first == "x^3")
+        tags = [tester.tag_ring.var(name) for name in tester.tag_ring.variables]
+        for index, tag in enumerate(tags):
+            for query in (*relations, tags[index - 1] ** 2, tags[index - 1] * tag):
+                expected = ideal_membership(query, [*relations, tag])
+                assert tester.multiple_of(query, index) == expected
+
+
+def test_multiple_of_with_a_constant_element():
+    # a constant element weighs 0, so its tag is never decided by one
+    # reduction, even when taken last: J holds X1 - 2, so 1 lies in
+    # J + (X1), but no lead of J's entries or X1 divides 1
+    elements = [R2.const(2), X2 * Y2, X2 + Y2]
+    for last in (None, 0):
+        tester = SubalgebraTester(elements, last)
+        one = tester.tag_ring.one()
+        assert tester.multiple_of(one, 0)
+        assert not tester.multiple_of(one, 2)
+        assert tester.contains(R2.const(5))
 
 
 def test_renamed_variable_keeps_every_answer():
