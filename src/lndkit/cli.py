@@ -66,7 +66,7 @@ def _ring_from(args) -> Ring:
     weights = None
     if args.weights is not None:
         pieces = _split_csv(args.weights)
-        if not all(piece.isdecimal() for piece in pieces):
+        if not all(piece.isascii() and piece.isdecimal() for piece in pieces):
             raise InputError(f"bad --weights list: {args.weights!r}")
         weights = tuple(int(w) for w in pieces)
     return Ring(names, weights)

@@ -12,7 +12,7 @@ sorted ascending by leading monomial.
 
 Internally monomials are packed into single integers (see _Packing),
 one 16-bit field per integer weight row of the order (see
-MonomialOrder._rows), so the hot loops run on machine comparisons
+_graded_rows), so the hot loops run on machine comparisons
 instead of tuple traversals.  Coefficients are plain integers: a
 Polynomial enters as its integer numerators and leaves as integers over
 one denominator, every basis element is kept primitive (content 1,
@@ -24,16 +24,18 @@ degree, just far enough to answer each membership query.
 Both derived tools build one ideal the same way: one tag variable
 X1..Xk per element, under a block order that eliminates the ring
 variables (grlex on them).  They differ in how they order the tags.
-relation_ideal orders them grlex, so its reduced basis stays the pinned
-one.  The tester orders them by weighted reverse-lex, each tag weighted
-by the degree of its element, which is the grading its lazy completion
-follows: that basis is much smaller, and a membership answer does not
-depend on the order; when the elements satisfy relations, its
-representation is one of several tag polynomials with the same value.
-The tag taken last is the one the tester is told to, and for it the
-tester decides whether a tag polynomial lies in the relation ideal plus
-that tag by one reduction (Bayer-Stillman), which is how kernel_check
-decides a relation quotient without reducing it in the whole ring.
+relation_ideal orders them grlex (MonomialOrder.elimination), so its
+reduced basis stays the pinned one.  The tester builds its own rows,
+which no MonomialOrder names: weighted reverse-lex on the tags, each
+tag weighted by the degree of its element, which is the grading its
+lazy completion follows.  That basis is much smaller, and a membership
+answer does not depend on the order; when the elements satisfy
+relations, its representation is one of several tag polynomials with
+the same value.  The tester takes the tag of one element last, and
+decides whether a tag polynomial lies in the relation ideal plus that
+tag, by one reduction when it is lazy (Bayer-Stillman).  That is how
+kernel_check decides a relation quotient, with the localizer taken
+last, without reducing it in the whole ring.
 """
 
 from __future__ import annotations
@@ -51,45 +53,56 @@ from .poly import Polynomial, Ring, RingMap
 _Q = Fraction
 
 
+def _graded_rows(
+    n: int, lo: int, hi: int, weights: Sequence[int] | None = None,
+    last: int | None = None,
+) -> list[tuple[int, ...]]:
+    """Integer weight rows on n variables that order the block lo..hi-1,
+    most significant first, then one unit row per variable of it (its
+    raw exponent).  Without weights the block is compared by degree,
+    then lexicographically.  With weights, one positive int per variable
+    of the block, it is compared by weighted degree, then by reverse-lex
+    with variable lo + last (the final one when last is None) taken
+    last: the weighted partial sums over its variables before the m-th,
+    m from the last down, reproduce the reversed-negated ties."""
+    seq = list(range(lo, hi))
+    if weights is None:
+        weights, sums = (1,) * len(seq), (len(seq),)
+    else:
+        if last is not None:
+            seq.append(seq.pop(last))
+        sums = (len(seq), *range(len(seq) - 1, 0, -1))
+
+    def row(weighted: dict[int, int]) -> tuple[int, ...]:
+        return tuple(weighted.get(i, 0) for i in range(n))
+
+    return [row({j: weights[j - lo] for j in seq[:m]}) for m in sums] + [
+        row({j: 1}) for j in range(lo, hi)
+    ]
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order.  Every one is a list of integer weight rows
     (Robbiano, "Term orderings on the polynomial ring", EUROCAL 1985);
     _rows gives them and _Packing packs by them.  The fields are
-    checked at construction: kind is one of the five below, block is a
-    nonnegative int for the elimination kinds and None otherwise, and
-    only "elim-wrevlex" takes weights (one positive int per variable
-    after the block) and last (the index of one of them).  That is the
-    subalgebra tester's order: like elimination(block), but ties are
-    broken by reverse-lex on the rest (the tags), weighted by weights,
-    with variable block + last taken last."""
+    checked at construction: kind is one of the four below, and block is
+    a nonnegative int for elimination and None otherwise.  from_name
+    reads every order str writes."""
 
     kind: str
     block: int | None = None
-    weights: tuple[int, ...] | None = None
-    last: int | None = None
 
     def __post_init__(self):
-        def natural(v):
-            return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
         if self.kind in ("lex", "grlex", "grevlex"):
             if self.block is not None:
                 raise ValueError(f"order {self.kind} takes no block size")
-        elif self.kind not in ("elim", "elim-wrevlex"):
+        elif self.kind == "elim":
+            block = self.block
+            if not isinstance(block, int) or isinstance(block, bool) or block < 0:
+                raise ValueError("block size must be a nonnegative int")
+        else:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        elif not natural(self.block):
-            raise ValueError("block size must be a nonnegative int")
-        if self.kind != "elim-wrevlex":
-            if (self.weights, self.last) != (None, None):
-                raise ValueError(f"order {self.kind} takes no weights")
-        elif not (
-            isinstance(self.weights, tuple)
-            and all(natural(w) and w for w in self.weights)
-            and natural(self.last)
-            and self.last < len(self.weights)
-        ):
-            raise ValueError("weights must be positive ints and last must index one")
 
     @classmethod
     def lex(cls) -> "MonomialOrder":
@@ -118,50 +131,27 @@ class MonomialOrder:
         if name in ("lex", "grlex", "grevlex"):
             return cls(name)
         block = name.removeprefix("elim:")
-        if block != name and block.isdecimal():
+        if block != name and block.isascii() and block.isdecimal():
             return cls.elimination(int(block))
         raise ValueError(f"unknown order {name!r}")
 
     def _rows(self, n: int) -> list[tuple[int, ...]]:
-        """The order on n variables as integer weight rows, most
-        significant first: monomials compare as their row products do,
-        lexicographically.  Every variable has a unit row, its raw
-        exponent, after any other row that involves it.  An elimination
-        block larger than n, or weights for other than the n - block
-        variables after it, raise ValueError."""
+        """The order on n variables as integer weight rows (see
+        _graded_rows): monomials compare as their row products do,
+        lexicographically.  An elimination block larger than n raises
+        ValueError."""
         block = self.block
         if block is not None and block > n:
             raise ValueError(
                 f"order {self} eliminates {block} variables but the ring has {n}"
             )
-        if self.weights is not None and len(self.weights) != n - block:
-            raise ValueError(
-                f"order {self} weighs {len(self.weights)} variables but the ring "
-                f"has {n - block} after the block"
-            )
-
-        def row(weights: dict[int, int]) -> tuple[int, ...]:
-            return tuple(weights.get(i, 0) for i in range(n))
-
-        def graded(lo: int, hi: int, reverse: bool = False) -> list[tuple[int, ...]]:
-            # the weighted degree of the block lo..hi-1, then its
-            # exponents; for reverse-lex the weighted partial sums over
-            # its variables before the m-th, m from the last down,
-            # reproduce the reversed-negated ties (positive weights)
-            weights = self.weights if reverse and self.weights else (1,) * (hi - lo)
-            seq = list(range(lo, hi))
-            if reverse and self.last is not None:
-                seq.append(seq.pop(self.last))
-            sums = (len(seq), *range(len(seq) - 1, 0, -1)) if reverse else (len(seq),)
-            return [row({j: weights[j - lo] for j in seq[:m]}) for m in sums] + [
-                row({j: 1}) for j in range(lo, hi)
-            ]
-
         if self.kind == "lex":  # the exponents alone
-            return graded(0, n)[1:]
+            return _graded_rows(n, 0, n)[1:]
+        if self.kind == "grevlex":
+            return _graded_rows(n, 0, n, (1,) * n)
         if block is None:
-            return graded(0, n, self.kind == "grevlex")
-        return graded(0, block) + graded(block, n, self.kind == "elim-wrevlex")
+            return _graded_rows(n, 0, n)
+        return _graded_rows(n, 0, block) + _graded_rows(n, block, n)
 
     def __str__(self) -> str:
         return self.kind if self.block is None else f"{self.kind}:{self.block}"
@@ -174,7 +164,8 @@ class _Packing:
     """Order-embedded packing of exponent tuples into single integers.
 
     Each monomial becomes one integer built from 16-bit fields, one per
-    weight row of the order, most significant first.  Integer comparison
+    integer weight row of an order (MonomialOrder._rows, or the tester's
+    rows of _tag_ideal), most significant first.  Integer comparison
     then agrees with the monomial order, addition and subtraction act
     exponentwise, and the spare top bit of every field is a guard that
     turns divisibility and lcm into a couple of bitwise operations.  Any
@@ -185,11 +176,10 @@ class _Packing:
     WIDTH = 16
     LIMIT = 1 << (WIDTH - 1)
 
-    def __init__(self, order: MonomialOrder, nvars: int):
-        rows = order._rows(nvars)
+    def __init__(self, rows: Sequence[tuple[int, ...]]):
         width = self.WIDTH
         self.shifts = tuple(width * i for i in range(len(rows) - 1, -1, -1))
-        self.nvars = nvars
+        self.nvars = nvars = len(rows[0])
         self.units = tuple(
             sum(row[j] << s for row, s in zip(rows, self.shifts)) for j in range(nvars)
         )
@@ -599,7 +589,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if f.is_zero() or g.is_zero():
         raise ValueError("s-polynomial of zero is undefined")
     ring = _common_ring([f, g])
-    packing = _Packing(order, ring.nvars)
+    packing = _Packing(order._rows(ring.nvars))
     ea = _entry(packing.pack_poly(f)[0])
     eb = _entry(packing.pack_poly(g)[0])
     plcm = packing.pack(tuple(map(max, packing.unpack(ea[0]), packing.unpack(eb[0]))))
@@ -618,7 +608,7 @@ def normal_form(
     """
     nonzero = [g for g in basis if not g.is_zero()]
     ring = _common_ring([f, *nonzero])
-    packing = _Packing(order, ring.nvars)
+    packing = _Packing(order._rows(ring.nvars))
     # scaling a divisor leaves every step's cancellation, hence the
     # remainder, unchanged
     entries = [_entry(packing.pack_poly(g)[0]) for g in nonzero]
@@ -634,7 +624,7 @@ def buchberger(
     if not gens:
         return ()
     ring = _common_ring(gens)
-    packing = _Packing(order, ring.nvars)
+    packing = _Packing(order._rows(ring.nvars))
     reduced = _Engine([packing.pack_poly(g)[0] for g in gens], packing).reduced()
     return tuple(packing.unpack_poly(ring, d, den=d[max(d)]) for d in reduced)
 
@@ -686,26 +676,24 @@ def _tag_ideal(
     and the moves that rename a packed dict of the ring onto the tags
     (for _moved).  A tag's selection weight is the weighted degree of
     its element (1 for a zero element), so the rename keeps degrees.
-    The order eliminates the ring variables; on the tags it is grlex
-    when last is None, else weighted reverse-lex by the selection
-    weights (1 in place of 0) with X_last taken last.  So a monomial is
-    tag-only exactly when it packs below its head-degree field,
-    1 << packing.shifts[0].
+    The rows (see _graded_rows) eliminate the ring variables; on the
+    tags they are grlex when last is None, else weighted reverse-lex by
+    the selection weights (1 in place of 0) with X_last taken last.  So
+    a monomial is tag-only exactly when it packs below its head-degree
+    field, 1 << packing.shifts[0].
     """
     if not elements:
         raise ValueError("at least one element required")
     ring = _common_ring(elements)
     tag_ring = Ring(_fresh_tag_names(ring, len(elements)))
-    n = ring.nvars
+    n, N = ring.nvars, ring.nvars + len(elements)
     degrees = [
         {sum(w * e for w, e in zip(ring.weights, m)) for m in g._num}
         for g in elements
     ]
     weights = (*ring.weights, *(max(ds, default=1) for ds in degrees))
-    order = MonomialOrder.elimination(n) if last is None else (
-        MonomialOrder("elim-wrevlex", n, tuple(max(w, 1) for w in weights[n:]), last)
-    )
-    packing = _Packing(order, n + tag_ring.nvars)
+    revlex = None if last is None else [max(w, 1) for w in weights[n:]]
+    packing = _Packing(_graded_rows(N, 0, n) + _graded_rows(N, n, N, revlex, last))
     units = packing.units
     names: dict[int, int] = {}
     for i, g in enumerate(elements):
@@ -758,9 +746,11 @@ class SubalgebraTester:
     extended by one tag per element, under a block order that eliminates
     the original variables (grlex on them) and breaks ties by weighted
     reverse-lex on the tags, each tag weighted by the degree of its
-    element and the tag of element last taken last (the final element
-    unless last names another); relation_ideal builds the same ideal
-    with grlex on the tags, whose larger basis it pins.  The normal form
+    element and the tag of element last taken last.  last is an int
+    index of the elements, the final one when None, and anything else
+    raises ValueError.  The tester builds that order's weight rows
+    itself (_tag_ideal); relation_ideal builds the same ideal with
+    grlex on the tags, whose larger basis it pins.  The normal form
     of f lands in the tag ring exactly when f belongs to the subalgebra,
     and the remainder is a representing polynomial: exact and
     deterministic, but when the elements satisfy relations not the only
@@ -777,24 +767,31 @@ class SubalgebraTester:
     None.
 
     multiple_of decides membership of a quotient P(elements)/element
-    from P alone, in the tag ring; for element last, by one reduction.
+    last from P alone, in the tag ring.
     """
 
     def __init__(self, elements: Sequence[Polynomial], last: int | None = None):
         self.elements = tuple(elements)
-        self.last = len(self.elements) - 1 if last is None else last
+        if last is None:
+            last = len(self.elements) - 1
+        elif isinstance(last, bool) or not isinstance(last, int) or not (
+            0 <= last < len(self.elements)
+        ):
+            raise ValueError(f"last must index one of {len(self.elements)} elements")
+        self.last = last
         (
             self.ring, self.tag_ring, self._packing, self._engine, self._lazy,
             self._moves,
         ) = _tag_ideal(self.elements, self.last)
 
-    def _complete(self, engine: _Engine, f: Polynomial, start: int = 0) -> None:
-        """Complete engine as far as reducing f, packed from variable
+    def _complete(self, f: Polynomial, start: int = 0) -> None:
+        """Complete the engine as far as reducing f, packed from variable
         start on, needs: fully unless the tester is lazy.  The weighted
         degree of f bounds the tag fields of f even after renaming, so
         one of 2^15 or more raises ExponentOverflowError."""
+        engine = self._engine
         if f:
-            weights = self._engine.weights[start:]
+            weights = engine.weights[start:]
             degree = max(sum(w * e for w, e in zip(weights, m)) for m in f._num)
             if degree >= _Packing.LIMIT:
                 raise ExponentOverflowError(
@@ -811,7 +808,7 @@ class SubalgebraTester:
             raise RingMismatchError("polynomial lies outside the base ring")
         packing = self._packing
         engine = self._engine
-        self._complete(engine, f)
+        self._complete(f)
         d, den = packing.pack_poly(f)
         tag_only = 1 << packing.shifts[0]
         remainder, den = engine.reducer.reduce(
@@ -824,44 +821,44 @@ class SubalgebraTester:
     def contains(self, f: Polynomial) -> bool:
         return self.representation(f) is not None
 
-    def multiple_of(self, relation: Polynomial, index: int) -> bool:
+    def multiple_of(self, relation: Polynomial) -> bool:
         """Whether relation, over the tags, lies in J + (X), J the ideal
-        of the relations among the elements and X the tag at index.
+        of the relations among the elements and X the tag of element
+        last.
 
-        With g the elements and P(g) divisible by g[index], that is
-        exactly when P(g)/g[index] lies in the subalgebra: P = X*R + j,
-        j in J, gives P(g)/g[index] = R(g), and P(g)/g[index] = R(g)
-        gives P - X*R in J.  The tester's tag-only entries generate J
-        (the order eliminates the ring variables), and after
-        complete_to(d) they are a Groebner basis of J up to degree d.
-        When the tester is lazy, J is homogeneous for the tag weights, so
-        for X the tag taken last, of positive weight, in(J + (X)) =
+        With g the elements and P(g) divisible by g[last], that is
+        exactly when P(g)/g[last] lies in the subalgebra: P = X*R + j,
+        j in J, gives P(g)/g[last] = R(g), and P(g)/g[last] = R(g) gives
+        P - X*R in J.  The tester's tag-only entries generate J (the
+        order eliminates the ring variables), and after complete_to(d)
+        they are a Groebner basis of J up to degree d.  When the tester
+        is lazy, J is homogeneous for the tag weights and X is the
+        revlex-last tag, so if X has positive weight, in(J + (X)) =
         in(J) + (X) (Bayer-Stillman; Eisenbud, Prop. 15.12): those
         entries and X are a Groebner basis of J + (X), and relation lies
         in it exactly when one reduction of its terms prime to X leaves
-        only multiples of X.  Otherwise a fresh engine on those entries
-        and X is completed as far as the tester is.  No ring term is
-        ever reduced.
+        only multiples of X.  Otherwise (a tester that is not lazy, or a
+        constant element taken last) one engine on those entries and X
+        is completed in full.  No ring term is ever reduced.
         """
         if relation.ring != self.tag_ring:
             raise RingMismatchError("relation lies outside the tag ring")
-        if not 0 <= index < len(self.elements):
-            raise IndexError(f"no element at index {index}")
         packing = self._packing
         engine = self._engine
         n = self.ring.nvars
-        self._complete(engine, relation, n)
+        last = n + self.last
+        self._complete(relation, n)
         d, _ = packing.pack_poly(relation, n)
-        if self._lazy and index == self.last and engine.weights[n + index]:
-            shift, mask = packing.raw_shifts[n + index], packing.mask
+        if self._lazy and engine.weights[last]:
+            shift, mask = packing.raw_shifts[last], packing.mask
             remainder, _ = engine.reducer.reduce(
                 {m: c for m, c in d.items() if not (m >> shift) & mask}
             )
             return all((m >> shift) & mask for m in remainder)
         tag_only = 1 << packing.shifts[0]
         entries = [{**dict(t), lm: lc} for lm, lc, t in engine.basis if lm < tag_only]
-        ideal = _Engine([{packing.units[n + index]: 1}, *entries], packing, engine.weights)
-        self._complete(ideal, relation, n)
+        ideal = _Engine([{packing.units[last]: 1}, *entries], packing, engine.weights)
+        ideal.complete()
         return not ideal.reducer.reduce(d)[0]
 
 

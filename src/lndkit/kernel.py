@@ -20,11 +20,11 @@ computed, the candidates substituted back into each relation, the
 result divided by loc once, and each quotient tested for membership in
 A.  The test runs in the tag ring: with J the relations among the
 candidates, the quotient of a relation P lies in A exactly when P lies
-in J + (tag of loc) (SubalgebraTester.multiple_of).  The tester orders
-the tag of loc last, so that is one reduction of P, and only a member
-is then rewritten into its representation.  Numerators and quotients
-outside A are the new kernel elements; a round without any certifies
-that the candidates generate the kernel.
+in J + (tag of loc) (SubalgebraTester.multiple_of).  The tester is
+built with loc as the element it takes last, so that is one reduction
+of P, and only a member is then rewritten into its representation.
+Numerators and quotients outside A are the new kernel elements; a
+round without any certifies that the candidates generate the kernel.
 kernel_compute iterates rounds until that certificate appears or a
 round budget runs out.
 """
@@ -205,8 +205,8 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     vanishing ones included (quotient 0, represented by 0).  A
     relation's quotient is decided by SubalgebraTester.multiple_of on
     the relation itself, by one reduction in the tag ring, since the
-    tester is told to take the tag of the localized variable last; so
-    a quotient outside the algebra is never reduced in the whole ring,
+    tester takes the localized variable as its last element; so a
+    quotient outside the algebra is never reduced in the whole ring,
     and a representation is built only for a member.
     """
     candidates = tuple(candidates)
@@ -225,8 +225,7 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     if loc_poly not in candidates:
         raise ValueError("the localized variable must be among the candidates")
 
-    loc_index = candidates.index(loc_poly)
-    tester = SubalgebraTester(candidates, loc_index)
+    tester = SubalgebraTester(candidates, candidates.index(loc_poly))
 
     # Sufficiency: the numerator of every localized kernel generator is
     # invariant, so one outside the candidate algebra is a new element.
@@ -246,7 +245,7 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     for relation in relations.generators:
         quotient = substitute(relation).exact_divide_var(slc.loc_var, 1)
         representation = None
-        if tester.multiple_of(relation, loc_index):
+        if tester.multiple_of(relation):
             representation = tester.representation(quotient)
         checks.append(RelationCheck(relation, quotient, representation))
         if representation is None:

@@ -7,6 +7,7 @@ Grammar (whitespace between tokens is ignored):
     factor   := atom ('^' nat)?
     atom     := rational | variable | '(' expr ')'
     rational := nat ('/' nat)?
+    nat      := [0-9]+
     variable := [A-Za-z_][A-Za-z0-9_]*
 
 Multiplication is always explicit ('2*x', never '2x').  Unary minus is
@@ -74,9 +75,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII digits only, as the grammar says
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("num", text[i:j], i))
             i = j

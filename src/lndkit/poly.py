@@ -383,8 +383,8 @@ class Polynomial:
 
     def exact_divide_var(self, name: str, power: int = 1) -> "Polynomial":
         """Divide by name**power, raising NotDivisibleError on any remainder."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        if not isinstance(power, int) or power < 0:
+            raise ValueError("power must be a nonnegative int")
         if power == 0:
             return self
         i = self.ring.index(name)

@@ -12,7 +12,8 @@ graded, so f is a member exactly when each homogeneous component of f
 is a linear combination of the products of the elements of its degree.
 
 order_key is the textbook definition of each monomial order as a sort
-key on exponent tuples, written independently of the weight rows that
+key on exponent tuples, and tag_order_key that of the subalgebra
+tester's order, both written independently of the weight rows that
 lndkit packs monomials by.  first_divisor is the linear divisor scan on
 exponent tuples, with no packing and no index.
 
@@ -44,19 +45,23 @@ def order_key(order):
         return lambda m: (sum(m), tuple(-e for e in reversed(m)))
     if order.kind == "elim":
         return lambda m: (sum(m[:k]), m[:k], sum(m[k:]), m[k:])
-    if order.kind == "elim-wrevlex":
-        # weighted degree of the tags, then the smaller exponent wins in
-        # the last tag that differs, the tag at order.last counted last
-        weights, last = order.weights, order.last
-
-        def key(m):
-            tags = m[k:]
-            seq = tags[:last] + tags[last + 1 :] + tags[last : last + 1]
-            weighted = sum(w * e for w, e in zip(weights, tags))
-            return sum(m[:k]), m[:k], weighted, tuple(-e for e in reversed(seq))
-
-        return key
     raise ValueError(f"unknown order kind {order.kind!r}")
+
+
+def tag_order_key(block, weights, last):
+    """Sort key on exponent tuples realizing the subalgebra tester's
+    order (ascending): grlex on the first block variables, then the
+    weighted degree of the rest (the tags), then the smaller exponent
+    wins in the last tag that differs, the tag at index last counted
+    last."""
+
+    def key(m):
+        tags = m[block:]
+        seq = tags[:last] + tags[last + 1 :] + tags[last : last + 1]
+        weighted = sum(w * e for w, e in zip(weights, tags))
+        return sum(m[:block]), m[:block], weighted, tuple(-e for e in reversed(seq))
+
+    return key
 
 
 def first_divisor(lead: tuple[int, ...], leads: list[tuple[int, ...]]) -> int:

@@ -508,6 +508,9 @@ def test_bad_arguments_exit_2(argv, capsys):
         ),
         (["kernel-check", "--loc", "s", "x"], "localized variable s is not invariant"),
         (["kernel-compute", "--loc", "v"], "localized variable v is not invariant"),
+        (["eval", "x^\u00b2"], "position 2"),
+        (["eval", "x", "--ring", "x", "--weights", "\u0663"], "bad --weights list"),
+        (["groebner", "--order", "elim:\u0663", "x"], "unknown order"),
     ],
     ids=[
         "at-duplicate-variable",
@@ -517,6 +520,9 @@ def test_bad_arguments_exit_2(argv, capsys):
         "kernel-check-negative-bound",
         "kernel-check-loc-not-invariant",
         "kernel-compute-loc-not-invariant",
+        "eval-non-ascii-exponent",
+        "weights-non-ascii-digit",
+        "order-elim-non-ascii-block",
     ],
 )
 def test_bad_argument_message_names_the_piece(argv, message, capsys):

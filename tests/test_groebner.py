@@ -2,11 +2,11 @@
 relation ideals, and subalgebra membership.
 
 The packed engine is differentially tested against the textbook order
-keys of oracles.order_key, normal_form against the definition of a
-remainder, buchberger against pinned classical bases and its own
-S-polynomial certificate, and relation_ideal and SubalgebraTester
-against linear-algebra oracles that know no Groebner theory at all (see
-oracles.py).
+keys of oracles.order_key and oracles.tag_order_key, normal_form against
+the definition of a remainder, buchberger against pinned classical
+bases and its own S-polynomial certificate, and relation_ideal and
+SubalgebraTester against linear-algebra oracles that know no Groebner
+theory at all (see oracles.py).
 """
 
 import random
@@ -49,11 +49,19 @@ ORDERS = [
     MonomialOrder.elimination(2),
 ]
 
-# the subalgebra tester's own order, one ring variable and three tags
-# weighted 2, 1, 3, the first tag taken last
+# the subalgebra tester's own rows: one ring variable and three tags
+# weighted 2, 1, 3 by the degrees of their elements, the first tag
+# taken last
 T1 = Ring(("t",)).var("t")
-TESTER_ORDER = MonomialOrder("elim-wrevlex", 1, (2, 1, 3), 0)
-PACKED_ORDERS = [*ORDERS, TESTER_ORDER]
+TESTER_KEY = oracles.tag_order_key(1, (2, 1, 3), 0)
+# (id, packing of four variables, textbook sort key)
+PACKINGS = [
+    *((str(o), _Packing(o._rows(4)), oracles.order_key(o)) for o in ORDERS),
+    ("tester", SubalgebraTester([T1**2, T1, T1**3], 0)._packing, TESTER_KEY),
+]
+each_packing = pytest.mark.parametrize(
+    "name, packing, key", PACKINGS, ids=[name for name, _, _ in PACKINGS]
+)
 
 
 def _random_poly(rng, ring, max_terms=3, max_exp=3, bound=5):
@@ -71,12 +79,30 @@ def test_order_names():
     named = ORDERS[:3] + [MonomialOrder.elimination(k) for k in range(4)]
     for order in named:
         assert MonomialOrder.from_name(str(order)) == order
-    for name in ("degrevlex", "elim-wrevlex", str(TESTER_ORDER), "elim", "elim:"):
+    for name in (
+        "degrevlex", "elim-wrevlex", "elim-wrevlex:1", "elim", "elim:",
+        "elim:\u0663", "elim:\u00b2", "elim:-1",
+    ):
         with pytest.raises(ValueError, match="unknown order"):
             MonomialOrder.from_name(name)
     with pytest.raises(ValueError):
         MonomialOrder.elimination(-1)
+    # the tester's order is its own rows, not a kind
+    with pytest.raises(ValueError, match="unknown order kind"):
+        MonomialOrder("elim-wrevlex", 1)
     assert str(MonomialOrder.elimination(2)) == "elim:2"
+
+
+@given(
+    st.one_of(st.sampled_from(["lex", "grlex", "grevlex", "elim"]), st.text()),
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6), st.floats()),
+)
+def test_every_order_reads_back_its_name(kind, block):
+    try:
+        order = MonomialOrder(kind, block)
+    except ValueError:
+        return
+    assert MonomialOrder.from_name(str(order)) == order
 
 
 @pytest.mark.parametrize(
@@ -97,50 +123,14 @@ def test_order_fields_are_checked(kind, block):
         MonomialOrder(kind, block)
 
 
-@pytest.mark.parametrize(
-    "kind, block, weights, last",
-    [
-        # only the tester's order takes weights and a last tag, and a block
-        ("elim", 1, (1,), None),
-        ("grevlex", None, None, 0),
-        ("elim-wrevlex", None, (1,), 0),
-        # one positive int weight per tag, in a tuple
-        ("elim-wrevlex", 1, None, 0),
-        ("elim-wrevlex", 1, (), 0),
-        ("elim-wrevlex", 1, (1, 0), 0),
-        ("elim-wrevlex", 1, (1, -2), 0),
-        ("elim-wrevlex", 1, (1, True), 0),
-        ("elim-wrevlex", 1, (1, 2.0), 0),
-        ("elim-wrevlex", 1, [1, 2], 0),
-        # the last tag indexes the weights
-        ("elim-wrevlex", 1, (1, 2), None),
-        ("elim-wrevlex", 1, (1, 2), 2),
-        ("elim-wrevlex", 1, (1, 2), -1),
-        ("elim-wrevlex", 1, (1, 2), True),
-    ],
-)
-def test_tag_order_fields_are_checked(kind, block, weights, last):
-    with pytest.raises(ValueError):
-        MonomialOrder(kind, block, weights, last)
-
-
 def test_elimination_block_must_fit_the_ring():
     # the order meets the ring in _rows, so that is where a block too
-    # large for it, or a weight count other than the tag count, is
-    # refused, by every caller that packs
+    # large for it is refused, by every caller that packs
     assert len(MonomialOrder.elimination(5)._rows(5)) == 2 + 5
-    for order in (
-        MonomialOrder.elimination(6),
-        MonomialOrder("elim-wrevlex", 4, (1,), 0),
-    ):
-        with pytest.raises(ValueError, match="but the ring has"):
-            order._rows(order.block - 1)
+    with pytest.raises(ValueError, match="but the ring has"):
+        MonomialOrder.elimination(6)._rows(5)
     with pytest.raises(ValueError):
         buchberger([X - Y], MonomialOrder.elimination(4))
-    assert len(TESTER_ORDER._rows(4)) == 2 + 1 + 2 + 3
-    for n in (3, 5):
-        with pytest.raises(ValueError, match="weighs 3 variables"):
-            TESTER_ORDER._rows(n)
 
 
 def test_grlex_vs_grevlex():
@@ -159,27 +149,24 @@ def test_elimination_order_blocks():
     assert key((0, 2, 1)) > key((0, 1, 1))
     # the tester keeps the head block, then compares the weighted degree
     # of the tags (2, 1, 3): X2^3 is below X1^2, unlike under grlex
-    tester_key = oracles.order_key(TESTER_ORDER)
-    assert tester_key((1, 0, 0, 0)) > tester_key((0, 9, 9, 9))
-    assert tester_key((0, 0, 3, 0)) < tester_key((0, 2, 0, 0))
+    assert TESTER_KEY((1, 0, 0, 0)) > TESTER_KEY((0, 9, 9, 9))
+    assert TESTER_KEY((0, 0, 3, 0)) < TESTER_KEY((0, 2, 0, 0))
     assert key((0, 0, 3, 0)) > key((0, 2, 0, 0))
     # X1*X2, X3 and X2^3 all weigh 3; reverse-lex with X1 taken last
     # puts any multiple of X1 lowest, then the larger power of X3
     ties = [(0, 1, 1, 0), (0, 0, 0, 1), (0, 0, 3, 0)]
-    assert sorted(ties, key=tester_key) == ties
+    assert sorted(ties, key=TESTER_KEY) == ties
     # with the final tag X3 taken last, X3 is lowest instead
-    final_last = oracles.order_key(MonomialOrder("elim-wrevlex", 1, (2, 1, 3), 2))
+    final_last = oracles.tag_order_key(1, (2, 1, 3), 2)
     assert sorted(ties, key=final_last) == [ties[1], ties[2], ties[0]]
 
 
 # -- packed monomials vs plain keys ------------------------------------------
 
 
-@pytest.mark.parametrize("order", PACKED_ORDERS, ids=str)
-def test_packing_agrees_with_key(order):
-    rng = random.Random(sum(map(ord, str(order))))
-    packing = _Packing(order, 4)
-    key = oracles.order_key(order)
+@each_packing
+def test_packing_agrees_with_key(name, packing, key):
+    rng = random.Random(sum(map(ord, name)))
     monos = [tuple(rng.randint(0, 9) for _ in range(4)) for _ in range(120)]
     packed = [packing.pack(m) for m in monos]
     for m, p in zip(monos, packed):
@@ -189,10 +176,9 @@ def test_packing_agrees_with_key(order):
     assert by_pack == by_key
 
 
-@pytest.mark.parametrize("order", PACKED_ORDERS, ids=str)
-def test_packed_divisibility(order):
-    rng = random.Random(len(str(order)))
-    packing = _Packing(order, 4)
+@each_packing
+def test_packed_divisibility(name, packing, key):
+    rng = random.Random(len(name))
     guard = packing.guard
     for _ in range(200):
         a = tuple(rng.randint(0, 6) for _ in range(4))
@@ -203,16 +189,15 @@ def test_packed_divisibility(order):
 
 
 @given(
-    st.sampled_from(PACKED_ORDERS),
+    st.sampled_from([packing for _, packing, _ in PACKINGS]),
     st.lists(
         st.tuples(st.booleans(), st.tuples(*[st.integers(0, 2)] * 4)), max_size=40
     ),
 )
-def test_find_agrees_with_first_divisor(order, steps):
+def test_find_agrees_with_first_divisor(packing, steps):
     # each step appends a lead to the entry list or looks one up, so the
     # support index grows between lookups, as the engine's basis does;
     # small exponents make repeated supports and leads with no divisor
-    packing = _Packing(order, 4)
     entries, leads = [], []
     reducer = _Reducer(entries, packing.guard)
     for append, mono in steps:
@@ -226,7 +211,7 @@ def test_find_agrees_with_first_divisor(order, steps):
 
 
 def test_packing_overflow():
-    packing = _Packing(MonomialOrder.grevlex(), 2)
+    packing = _Packing(MonomialOrder.grevlex()._rows(2))
     with pytest.raises(ExponentOverflowError):
         packing.pack((1 << 15, 0))
     with pytest.raises(ExponentOverflowError):
@@ -236,9 +221,9 @@ def test_packing_overflow():
 
 
 def test_packing_overflow_in_a_weighted_field():
-    # total degree 40, far below 2^15, but the tags' weighted degree
-    # field would hold 40000
-    packing = _Packing(MonomialOrder("elim-wrevlex", 1, (1000, 1), 1), 3)
+    # tags weighted 1000 and 1: total degree 40, far below 2^15, but the
+    # tags' weighted degree field would hold 40000
+    packing = SubalgebraTester([T1**1000, T1], 1)._packing
     with pytest.raises(ExponentOverflowError):
         packing.pack((0, 40, 0))
     with pytest.raises(ExponentOverflowError):
@@ -293,7 +278,7 @@ def _small_polys(ring, max_exp=3):
 
 @given(st.sampled_from(ORDERS), _polys(EXT), _polys(R2))
 def test_pack_poly_round_trip(order, f, g):
-    packing = _Packing(order, EXT.nvars)
+    packing = _Packing(order._rows(EXT.nvars))
     d, den = packing.pack_poly(f)
     assert packing.unpack_poly(EXT, d, den=den) == f
     # a base-ring polynomial fills the leading variables of a wider packing
@@ -545,12 +530,14 @@ def test_symmetric_functions():
     with pytest.raises(RingMismatchError):
         tester.contains(X)
     with pytest.raises(RingMismatchError):
-        tester.multiple_of(X, 0)
-    X1 = tester.tag_ring.var("X1")
-    with pytest.raises(IndexError):
-        tester.multiple_of(X1, 2)
-    with pytest.raises(IndexError):
-        tester.multiple_of(X1, -1)
+        tester.multiple_of(X)
+
+
+@pytest.mark.parametrize("last", [True, -1, 2, 1.0, "0"])
+def test_tester_checks_last(last):
+    # last is an int index of the elements, and nothing else
+    with pytest.raises(ValueError, match="last must index"):
+        SubalgebraTester([X2 + Y2, X2 * Y2], last)
 
 
 def test_membership_round_trip():
@@ -608,28 +595,27 @@ def test_membership_agrees_with_brute_force(elements, data):
 @settings(max_examples=30)
 @given(_homogeneous_elements(most=4), st.data())
 def test_multiple_of_agrees_with_ideal_membership(elements, data):
-    # the tag taken last is decided by one reduction, the others each on
-    # an engine of their own
-    tester = SubalgebraTester(elements, data.draw(st.integers(0, len(elements) - 1)))
-    relations = relation_ideal(elements).generators
-    tags = [tester.tag_ring.var(name) for name in tester.tag_ring.variables]
-    lift, nudge = (data.draw(_polys(tester.tag_ring, 2, 2, _SCALARS)) for _ in "ln")
-    for index, tag in enumerate(tags):
-        for relation in (tester.tag_ring.zero(), *relations):
+    # each tag in turn is taken last and decided by one reduction
+    relations = relation_ideal(elements)
+    tag_ring = relations.tag_ring
+    tags = [tag_ring.var(name) for name in tag_ring.variables]
+    lift, nudge = (data.draw(_polys(tag_ring, 2, 2, _SCALARS)) for _ in "ln")
+    for last, tag in enumerate(tags):
+        tester = SubalgebraTester(elements, last)
+        for relation in (tag_ring.zero(), *relations.generators):
             for query in (tag * lift + relation, tag * lift + relation * nudge + nudge):
-                expected = ideal_membership(query, [*relations, tag])
-                assert tester.multiple_of(query, index) == expected
+                expected = ideal_membership(query, [*relations.generators, tag])
+                assert tester.multiple_of(query) == expected
 
 
 @pytest.mark.parametrize("first", ["x^3", "x^3 + 1"])
 def test_multiple_of_completes_the_ideal(first):
-    # J's entries and a tag other than the one taken last are no
-    # Groebner basis of J + (tag): with X4 last, reducing by them alone
-    # misses the degree-6 relation at index 0 and X2^2 - 2*X2*X3 -
-    # 2*X2*X4 + 2*X3*X4 at index 1, so multiple_of completes an engine
-    # of its own there.  x^3 + 1 makes the first element inhomogeneous,
-    # so the tester completes at once instead of lazily, and decides
-    # every index on such an engine
+    # each tag X in turn is taken last.  Some queries lie in J + (X) but
+    # are missed by J's entries and X unless X is the tag taken last:
+    # with X4 last, the degree-6 relation for X1 and X2^2 - 2*X2*X3 -
+    # 2*X2*X4 + 2*X3*X4 for X2.  x^3 + 1 makes the first element
+    # inhomogeneous, so the tester completes at once instead of lazily,
+    # and decides every query on an engine that it completes in full
     elements = [parse_polynomial(text, R2) for text in (
         first, "2*x*y", "x^2 + 2*x*y", "2*x*y + 2*y^2"
     )]
@@ -638,22 +624,24 @@ def test_multiple_of_completes_the_ideal(first):
         tester = SubalgebraTester(elements, last)
         assert tester._lazy == (first == "x^3")
         tags = [tester.tag_ring.var(name) for name in tester.tag_ring.variables]
-        for index, tag in enumerate(tags):
-            for query in (*relations, tags[index - 1] ** 2, tags[index - 1] * tag):
-                expected = ideal_membership(query, [*relations, tag])
-                assert tester.multiple_of(query, index) == expected
+        tag = tags[last]
+        for query in (*relations, tags[last - 1] ** 2, tags[last - 1] * tag):
+            expected = ideal_membership(query, [*relations, tag])
+            assert tester.multiple_of(query) == expected
 
 
 def test_multiple_of_with_a_constant_element():
-    # a constant element weighs 0, so its tag is never decided by one
-    # reduction, even when taken last: J holds X1 - 2, so 1 lies in
-    # J + (X1), but no lead of J's entries or X1 divides 1
+    # a constant element weighs 0, so its tag taken last is decided on
+    # an engine of its own: J holds X1 - 2, so 1 lies in J + (X1), but
+    # no lead of J's entries or X1 divides 1
     elements = [R2.const(2), X2 * Y2, X2 + Y2]
-    for last in (None, 0):
+    relations = relation_ideal(elements).generators
+    for last in range(len(elements)):
         tester = SubalgebraTester(elements, last)
         one = tester.tag_ring.one()
-        assert tester.multiple_of(one, 0)
-        assert not tester.multiple_of(one, 2)
+        tag = tester.tag_ring.var(tester.tag_ring.variables[last])
+        assert tester.multiple_of(one) == (last == 0)
+        assert ideal_membership(one, [*relations, tag]) == (last == 0)
         assert tester.contains(R2.const(5))
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lndkit import (
     ExponentOverflowError,
@@ -92,6 +92,12 @@ def test_respects_ring():
         ("x # y", 2),
         ("x y", 2),
         ("x^(2)", 2),
+        # superscript two, Arabic-Indic three and fullwidth one are
+        # digits to str.isdigit, but not to the grammar
+        ("x^\u00b2", 2),
+        ("3/\u00b2", 2),
+        ("\u0663*x", 0),
+        ("x + \uff11", 4),
     ],
 )
 def test_error_positions(text, position):
@@ -99,6 +105,27 @@ def test_error_positions(text, position):
         parse(text)
     assert info.value.position == position
     assert f"position {position}" in str(info.value)
+
+
+@example("x^\u00b2")
+@example("3/\u00b2")
+@example("\u0663*x")
+@given(
+    st.text(
+        st.one_of(
+            st.sampled_from("xyz0129+-*^/() \u00b2\u0663\u00e9"), st.characters()
+        ),
+        max_size=40,
+    )
+)
+def test_arbitrary_text_parses_or_is_refused(text):
+    # any text either parses to a polynomial that prints back to itself
+    # or raises one of the two parse errors, with nothing else escaping
+    try:
+        p = parse(text)
+    except (ParseError, ExponentOverflowError):
+        return
+    assert parse(print_canonical(p)) == p
 
 
 @pytest.mark.parametrize("depth", [250, 5000])

@@ -497,8 +497,10 @@ def test_exact_divide_var():
     assert p.exact_divide_var("x") == X * Y + X**2
     assert p.exact_divide_var("x", 2) == Y + X
     assert p.exact_divide_var("x", 0) is p
-    with pytest.raises(ValueError):
-        p.exact_divide_var("x", -1)
+    # a power is a nonnegative int, as for **: x^2 / x^0.5 is no polynomial
+    for power in (-1, 0.5, 2.0, Fraction(1)):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            p.exact_divide_var("x", power)
     with pytest.raises(NotDivisibleError) as info:
         (X**2 * Y + Y).exact_divide_var("x")
     assert info.value.witness == (0, 1, 0)
