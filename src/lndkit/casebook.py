@@ -632,12 +632,16 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
 # -- randomized separation suite -------------------------------------------
 
 
-def _random_fraction(rng: random.Random, bound: int = 100) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+# the bound on the numerator and the denominator of a random value
+_BOUND = 100
 
-def _random_nonzero(rng: random.Random, bound: int = 100) -> Fraction:
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-_BOUND, _BOUND), rng.randint(1, _BOUND))
+
+def _random_nonzero(rng: random.Random) -> Fraction:
     while True:
-        q = _random_fraction(rng, bound)
+        q = _random_fraction(rng)
         if q:
             return q
 

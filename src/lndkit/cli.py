@@ -466,7 +466,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (LndError, ValueError, KeyError, OSError) as exc:
+    except (LndError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -320,24 +320,19 @@ class _Reducer:
                 return k
         return -1
 
-    def reduce(
-        self, f: dict, den: int = 1, stop: int | None = None
-    ) -> tuple[dict, int]:
-        """Full normal form of f/den as (R, den'), meaning R/den'.
+    def reduce(self, f: dict) -> tuple[dict, int]:
+        """Full normal form of the integer dict f as (R, den), meaning
+        R/den; f is consumed.
 
-        f and R have integer coefficients, the denominators are positive
-        and f is left untouched.  A divisor with leading coefficient lc
-        cancels a term c by first scaling everything, den included, by
-        lc/gcd(lc, c).
+        R has integer coefficients and den is positive.  A divisor with
+        leading coefficient lc cancels a term c by first scaling
+        everything, den included, by lc/gcd(lc, c).
         Tracks the current leading term with a lazy max-heap: every
         monomial of f has at least one heap entry, stale entries are
-        skipped on pop.  Terms leave the heap in descending order, so
-        with stop given the call returns at the first irreducible term
-        at or above stop: R/den' is then that term alone, the leading
-        term of the normal form.
+        skipped on pop.
         """
-        f = dict(f)
         remainder: dict = {}
+        den = 1
         entries = self.entries
         guard = self.guard
         find = self.find
@@ -352,8 +347,6 @@ class _Reducer:
             k = find(lead)
             if k < 0:
                 remainder[lead] = coeff
-                if stop is not None and lead >= stop:
-                    break
                 continue
             lm, lc, tail = entries[k]
             shift = lead - lm
@@ -431,8 +424,8 @@ class _Engine:
     """
 
     __slots__ = (
-        "packing", "guard", "weights", "basis", "lm_tuples", "wdegs",
-        "supports", "alive", "pairs", "pair_heap", "reducer", "_reduced",
+        "packing", "weights", "basis", "lm_tuples", "wdegs", "supports",
+        "alive", "pairs", "pair_heap", "reducer",
     )
 
     def __init__(
@@ -442,7 +435,6 @@ class _Engine:
         weights: Sequence[int] | None = None,
     ):
         self.packing = packing
-        self.guard = packing.guard
         self.weights = tuple(weights) if weights else (0,) * packing.nvars
         self.basis: list[tuple] = []
         self.lm_tuples: list[tuple[int, ...]] = []
@@ -453,13 +445,12 @@ class _Engine:
         self.alive: list[bool] = []
         self.pairs: dict[tuple[int, int], int] = {}
         self.pair_heap: list[tuple] = []
-        self.reducer = _Reducer(self.basis, self.guard)
-        self._reduced: list[dict] | None = None
+        self.reducer = _Reducer(self.basis, packing.guard)
         for d in sorted(pdicts, key=lambda d: (max(d), sorted(d.items()))):
             self._adjoin(d)
 
     def _update(self, t: int) -> None:
-        guard = self.guard
+        guard = self.packing.guard
         basis = self.basis
         lm_tuples = self.lm_tuples
         wdegs = self.wdegs
@@ -535,7 +526,7 @@ class _Engine:
     def _step(self) -> None:
         _, plcm, i, j = heapq.heappop(self.pair_heap)
         if self.pairs.pop((i, j), None) is not None:
-            self.add(_spoly(self.basis[i], self.basis[j], plcm, self.guard))
+            self.add(_spoly(self.basis[i], self.basis[j], plcm, self.packing.guard))
 
     def complete_to(self, wdeg: int) -> None:
         heap = self.pair_heap
@@ -551,10 +542,8 @@ class _Engine:
         """The reduced basis as primitive integer dicts, sorted ascending
         by leading monomial; dividing each by its leading coefficient
         gives the reduced monic basis."""
-        if self._reduced is None:
-            self.complete()
-            self._reduced = _interreduce(self.basis, self.guard)
-        return self._reduced
+        self.complete()
+        return _interreduce(self.basis, self.packing.guard)
 
 
 def _interreduce(basis: Sequence[tuple], guard: int) -> list[dict]:
@@ -612,8 +601,9 @@ def normal_form(
     # scaling a divisor leaves every step's cancellation, hence the
     # remainder, unchanged
     entries = [_entry(packing.pack_poly(g)[0]) for g in nonzero]
-    remainder, den = _Reducer(entries, packing.guard).reduce(*packing.pack_poly(f))
-    return packing.unpack_poly(ring, remainder, den=den)
+    d, den = packing.pack_poly(f)
+    remainder, scale = _Reducer(entries, packing.guard).reduce(d)
+    return packing.unpack_poly(ring, remainder, den=den * scale)
 
 
 def buchberger(
@@ -663,7 +653,7 @@ def _moved(d: dict, moves: tuple[tuple[int, int], ...], mask: int) -> dict:
 
 def _tag_ideal(
     elements: tuple[Polynomial, ...], last: int | None = None
-) -> tuple[Ring, Ring, _Packing, _Engine, bool, tuple]:
+) -> tuple[Ring, Ring, _Engine, bool, tuple]:
     """The ideal of the den*g_i - den*X_i, one fresh tag X_i per element
     g_i with denominator den, in the ring extended by the tags.
 
@@ -671,16 +661,16 @@ def _tag_ideal(
     every other generator reads X_i for y: the ideal is the same, so its
     reduced basis and every normal form are too, but no reduction needs
     y - X_i to rename y one exponent at a time.  The first such element
-    names y.  Returns the ring, the ring of the tags, the packing, the
-    engine on the ideal, whether every element is weighted homogeneous
-    and the moves that rename a packed dict of the ring onto the tags
-    (for _moved).  A tag's selection weight is the weighted degree of
-    its element (1 for a zero element), so the rename keeps degrees.
-    The rows (see _graded_rows) eliminate the ring variables; on the
-    tags they are grlex when last is None, else weighted reverse-lex by
-    the selection weights (1 in place of 0) with X_last taken last.  So
-    a monomial is tag-only exactly when it packs below its head-degree
-    field, 1 << packing.shifts[0].
+    names y.  Returns the ring, the ring of the tags, the engine on the
+    ideal (it holds the packing), whether every element is weighted
+    homogeneous and the moves that rename a packed dict of the ring onto
+    the tags (for _moved).  A tag's selection weight is the weighted
+    degree of its element (1 for a zero element), so the rename keeps
+    degrees.  The rows (see _graded_rows) eliminate the ring variables;
+    on the tags they are grlex when last is None, else weighted
+    reverse-lex by the selection weights (1 in place of 0) with X_last
+    taken last.  So a monomial is tag-only exactly when it packs below
+    its head-degree field, 1 << packing.shifts[0].
     """
     if not elements:
         raise ValueError("at least one element required")
@@ -714,7 +704,7 @@ def _tag_ideal(
         ideal.append(d)
     engine = _Engine(ideal, packing, weights)
     homogeneous = all(len(ds) <= 1 for ds in degrees)
-    return ring, tag_ring, packing, engine, homogeneous, moves
+    return ring, tag_ring, engine, homogeneous, moves
 
 
 @dataclass(frozen=True)
@@ -761,10 +751,7 @@ class SubalgebraTester:
 
     An element that is a ring variable y itself is renamed onto its tag
     (see _tag_ideal), and so is y in every query: the query keeps its
-    normal form, hence its answer and its representation.  Reduction of
-    a query stops at the first term of its normal form that involves a
-    ring variable: that term leads the normal form and makes the answer
-    None.
+    normal form, hence its answer and its representation.
 
     multiple_of decides membership of a quotient P(elements)/element
     last from P alone, in the tag ring.
@@ -779,10 +766,9 @@ class SubalgebraTester:
         ):
             raise ValueError(f"last must index one of {len(self.elements)} elements")
         self.last = last
-        (
-            self.ring, self.tag_ring, self._packing, self._engine, self._lazy,
-            self._moves,
-        ) = _tag_ideal(self.elements, self.last)
+        self.ring, self.tag_ring, self._engine, self._lazy, self._moves = (
+            _tag_ideal(self.elements, self.last)
+        )
 
     def _complete(self, f: Polynomial, start: int = 0) -> None:
         """Complete the engine as far as reducing f, packed from variable
@@ -803,20 +789,21 @@ class SubalgebraTester:
             engine.complete_to(degree)
 
     def representation(self, f: Polynomial) -> Polynomial | None:
-        """A polynomial over the tags evaluating to f, or None."""
+        """A polynomial over the tags evaluating to f, or None: the full
+        normal form of f, unless its leading term involves a ring
+        variable."""
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lies outside the base ring")
-        packing = self._packing
         engine = self._engine
+        packing = engine.packing
         self._complete(f)
         d, den = packing.pack_poly(f)
-        tag_only = 1 << packing.shifts[0]
-        remainder, den = engine.reducer.reduce(
-            _moved(d, self._moves, packing.mask), den, tag_only
-        )
-        if remainder and max(remainder) >= tag_only:
+        remainder, scale = engine.reducer.reduce(_moved(d, self._moves, packing.mask))
+        if remainder and max(remainder) >= 1 << packing.shifts[0]:
             return None
-        return packing.unpack_poly(self.tag_ring, remainder, self.ring.nvars, den)
+        return packing.unpack_poly(
+            self.tag_ring, remainder, self.ring.nvars, den * scale
+        )
 
     def contains(self, f: Polynomial) -> bool:
         return self.representation(f) is not None
@@ -843,8 +830,8 @@ class SubalgebraTester:
         """
         if relation.ring != self.tag_ring:
             raise RingMismatchError("relation lies outside the tag ring")
-        packing = self._packing
         engine = self._engine
+        packing = engine.packing
         n = self.ring.nvars
         last = n + self.last
         self._complete(relation, n)
@@ -865,7 +852,8 @@ class SubalgebraTester:
 def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
     """The ideal of algebraic relations among the given elements, as its
     reduced Groebner basis under grlex on the tags."""
-    ring, tag_ring, packing, engine, _, _ = _tag_ideal(tuple(elements))
+    ring, tag_ring, engine, _, _ = _tag_ideal(tuple(elements))
+    packing = engine.packing
     # the reduced basis ascends by lead; its tag-only elements, which
     # the head block orders first, are the relations
     generators = tuple(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExponentOverflowError, ParseError
-from .poly import EXPONENT_CAP, Polynomial, Ring
+from .poly import EXPONENT_CAP, Polynomial, Ring, _check_exponent
 
 _SYMBOLS = set("+-*^/()")
 
@@ -157,10 +157,7 @@ class _Parser:
                     f"exponent of {len(digits)} digits exceeds cap {EXPONENT_CAP}"
                 )
             exponent = int(digits)
-            if exponent > EXPONENT_CAP:
-                raise ExponentOverflowError(
-                    f"exponent {exponent} exceeds cap {EXPONENT_CAP}"
-                )
+            _check_exponent(exponent)
             value = value**exponent
         return value
 

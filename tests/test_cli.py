@@ -530,6 +530,17 @@ def test_bad_argument_message_names_the_piece(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_internal_key_error_propagates(monkeypatch):
+    # no malformed input raises KeyError, so one from a handler is a
+    # fault of the program, not an input error with exit 2
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_cmd_eval", broken)
+    with pytest.raises(KeyError):
+        run(["eval", "x"])
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -57,7 +57,7 @@ TESTER_KEY = oracles.tag_order_key(1, (2, 1, 3), 0)
 # (id, packing of four variables, textbook sort key)
 PACKINGS = [
     *((str(o), _Packing(o._rows(4)), oracles.order_key(o)) for o in ORDERS),
-    ("tester", SubalgebraTester([T1**2, T1, T1**3], 0)._packing, TESTER_KEY),
+    ("tester", SubalgebraTester([T1**2, T1, T1**3], 0)._engine.packing, TESTER_KEY),
 ]
 each_packing = pytest.mark.parametrize(
     "name, packing, key", PACKINGS, ids=[name for name, _, _ in PACKINGS]
@@ -223,7 +223,7 @@ def test_packing_overflow():
 def test_packing_overflow_in_a_weighted_field():
     # tags weighted 1000 and 1: total degree 40, far below 2^15, but the
     # tags' weighted degree field would hold 40000
-    packing = SubalgebraTester([T1**1000, T1], 1)._packing
+    packing = SubalgebraTester([T1**1000, T1], 1)._engine.packing
     with pytest.raises(ExponentOverflowError):
         packing.pack((0, 40, 0))
     with pytest.raises(ExponentOverflowError):

@@ -25,7 +25,7 @@ from lndkit import (
     seed_candidates,
     slice_kernel_generators,
 )
-from lndkit.groebner import _Reducer
+from lndkit.groebner import _Engine, _Reducer
 from lndkit.kernel import _minimize
 from lndkit.poly import grlex_key
 
@@ -318,11 +318,11 @@ def test_kernel_compute_growth(growth3, context):
 
 
 def test_round_three_membership_work(growth3, monkeypatch):
-    # the tester's grevlex tag block keeps the round-3 basis small (76
-    # entries; a grlex tag block needed 183).  Renaming x onto its tag
-    # and stopping at a non-member's first ring term halve the divisor
-    # lookups: 19339, against 40261 when every quotient is reduced fully
-    # and x - X1 renames x one exponent at a time
+    # the tester's weighted reverse-lex tag block keeps the round-3
+    # basis small (65 entries).  Each of the 40 quotients outside the
+    # algebra is reduced to its full normal form: 17833 divisor lookups,
+    # against 13614 when reduction stopped at a non-member's first ring
+    # term
     finds = []
     find = _Reducer.find
 
@@ -406,20 +406,29 @@ def test_kernel_compute_reducer_work(context, monkeypatch):
     # a quotient is decided in the tag ring by one reduction, so no
     # normal form in the whole ring is built for one outside the
     # algebra: 5002 divisor lookups, against 8073 on a second engine per
-    # index and 21340 when every quotient was reduced in full
+    # index and 21340 when every quotient was reduced in full; the
+    # engines take 622 pair steps
     finds = []
+    steps = []
     find = _Reducer.find
+    step = _Engine._step
 
     def counted(self, lead):
         finds.append(lead)
         return find(self, lead)
 
+    def counted_step(self):
+        steps.append(self)
+        return step(self)
+
     derivation = Derivation(context.derivation.ring, context.derivation.images)
     slc = Slice(derivation, "s", "x")
     monkeypatch.setattr(_Reducer, "find", counted)
+    monkeypatch.setattr(_Engine, "_step", counted_step)
     result = kernel_compute(derivation, slc, 3)
     assert result.counts == (4, 7, 13, 41)
     assert len(finds) < 6000
+    assert len(steps) < 700
 
 
 def test_kernel_compute_polynomial_work(context, monkeypatch):
