@@ -538,15 +538,10 @@ class _Engine:
         while heap:
             self._step()
 
-    def reduced(self) -> list[dict]:
-        """The reduced basis as primitive integer dicts, sorted ascending
-        by leading monomial; dividing each by its leading coefficient
-        gives the reduced monic basis."""
-        self.complete()
-        return _interreduce(self.basis, self.packing.guard)
-
 
 def _interreduce(basis: Sequence[tuple], guard: int) -> list[dict]:
+    """The reduced basis of the entries as primitive integer dicts,
+    ascending by lead; each over its leading coefficient is monic."""
     # minimal basis: ascending by lead, drop any lead that a kept lead
     # divides, so the first element of a tie wins
     kept: list[tuple] = []
@@ -615,7 +610,9 @@ def buchberger(
         return ()
     ring = _common_ring(gens)
     packing = _Packing(order._rows(ring.nvars))
-    reduced = _Engine([packing.pack_poly(g)[0] for g in gens], packing).reduced()
+    engine = _Engine([packing.pack_poly(g)[0] for g in gens], packing)
+    engine.complete()
+    reduced = _interreduce(engine.basis, packing.guard)
     return tuple(packing.unpack_poly(ring, d, den=d[max(d)]) for d in reduced)
 
 
@@ -854,12 +851,14 @@ def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
     reduced Groebner basis under grlex on the tags."""
     ring, tag_ring, engine, _, _ = _tag_ideal(tuple(elements))
     packing = engine.packing
-    # the reduced basis ascends by lead; its tag-only elements, which
-    # the head block orders first, are the relations
+    engine.complete()
+    # the relations are the reduced basis's tag-only elements; no lead
+    # holding a ring variable divides a tag-only term, so the tag-only
+    # entries interreduced alone give them
+    head = [e for e in engine.basis if e[0] < 1 << packing.shifts[0]]
     generators = tuple(
         packing.unpack_poly(tag_ring, d, ring.nvars, d[max(d)])
-        for d in engine.reduced()
-        if max(d) < 1 << packing.shifts[0]
+        for d in _interreduce(head, packing.guard)
     )
     return RelationIdeal(tag_ring, generators)
 

@@ -10,15 +10,16 @@ The canonical term order used for iteration and printing is graded
 lexicographic, descending.
 
 Also provided: ring homomorphisms given by variable images (RingMap),
-applied term by term into one integer dict with the image powers kept
-on the map; rational points (Point); and elements of the localization
-at a single variable (LaurentElement), each a normalized polynomial
-numerator over a power of that variable, with no arithmetic of their
-own.
+applied term by term into one integer dict, with the image powers built
+by the chain behind ** and kept on the map; rational points (Point);
+and elements of the localization at a single variable (LaurentElement),
+each a normalized polynomial numerator over a power of that variable,
+with no arithmetic of their own.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -331,22 +332,33 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        """self**n, built from the powers below it: an odd power is the
-        power below times self, an even one the square of its half.
-        Only the square is kept on self, and nothing on the powers made
-        on the way, so a high power costs no memory once it is dropped."""
+        """self**n, by _power.  Only the square is kept on self, and
+        nothing on the powers made on the way, so a high power costs no
+        memory once it is dropped."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative ints")
-        if n < 2:
-            return self if n else self.ring.one()
-        if n == 2:
-            if self._square is None:
-                object.__setattr__(self, "_square", self * self)
-            return self._square
-        if n & 1:
-            return self ** (n - 1) * self
-        half = self ** (n // 2)
-        return half * half
+        return self._power(n, {}) if n else self.ring.one()
+
+    def _power(self, n: int, kept: dict) -> "Polynomial":
+        """self**n for n >= 1, read from and filled into kept, a dict
+        from exponent to power: an odd power is the power below times
+        self, an even one the square of its half.  The square is the one
+        kept on self."""
+        if n == 1:
+            return self
+        power = kept.get(n)
+        if power is None:
+            if n == 2:
+                if self._square is None:
+                    object.__setattr__(self, "_square", self * self)
+                power = self._square
+            elif n & 1:
+                power = self._power(n - 1, kept) * self
+            else:
+                half = self._power(n // 2, kept)
+                power = half * half
+            kept[n] = power
+        return power
 
     # -- calculus and substitution -------------------------------------
 
@@ -512,10 +524,9 @@ class RingMap:
     of any other is checked against EXPONENT_CAP before a power is built.
     An image of one term adds its exponents and scales the coefficient;
     only images of several terms multiply term dicts.  Each image power
-    is computed once, on first use, and kept on the map for every later
-    call, as a term tuple over a denominator rather than a Polynomial:
-    apply only walks its terms, and a Polynomial per power would add an
-    object and a lowest-terms check that Gauss's lemma makes needless.
+    is built once, on first use, by the image's own _power (the chain
+    behind **), and kept on the map for every later call; the square is
+    the one kept on the image.
     """
 
     __slots__ = ("source", "target", "images", "_powers")
@@ -530,7 +541,7 @@ class RingMap:
         self.source = source
         self.target = target
         self.images = images
-        self._powers: dict[tuple[int, int], tuple[tuple, int]] = {}
+        self._powers: defaultdict[int, dict[int, Polynomial]] = defaultdict(dict)
 
     @classmethod
     def from_mapping(
@@ -554,27 +565,6 @@ class RingMap:
                 images.append(target.var(name))
         return cls(source, target, images)
 
-    def _power(self, i: int, e: int) -> tuple[tuple, int]:
-        """Image i to the power e >= 1 as (terms, denominator): the
-        (exponent tuple, int) numerator terms over b**e, b the image's
-        denominator.  The image is in lowest terms, so its power is too
-        (Gauss's lemma).  An even power squares its half and an odd one
-        multiplies the power below it by the image; every power made is
-        kept."""
-        power = self._powers.get((i, e))
-        if power is None:
-            image = self.images[i]
-            if e == 1:
-                terms, den = image._num, image._den
-            elif e & 1:
-                terms, den = self._power(i, e - 1)
-                terms, den = _product(terms, image._num.items()), den * image._den
-            else:
-                terms, den = self._power(i, e // 2)
-                terms, den = _product(terms, terms), den * den
-            power = self._powers[i, e] = (tuple(terms.items()), den)
-        return power
-
     def _kept(self, mono: tuple) -> bool:
         """False when a zero image drops the term x^mono, else True after
         checking its image's exact exponents, each a sum over its factors."""
@@ -591,7 +581,7 @@ class RingMap:
         if f.ring != self.source:
             raise RingMismatchError("polynomial lies outside the source ring")
         images = self.images
-        power = self._power
+        powers = self._powers
         # every term's product of powers has a denominator dividing
         # den = prod b_i^top_i
         top, used = f._exponent_shape()
@@ -609,8 +599,9 @@ class RingMap:
             shift, scale, pden, factors = one, coeff, 1, []
             for i, e in enumerate(mono):
                 if e:
-                    terms, d = power(i, e)
-                    pden *= d
+                    p = images[i]._power(e, powers[i])
+                    terms = p._num.items()
+                    pden *= p._den
                     if len(terms) == 1:
                         ((m, c),) = terms
                         shift = tuple(map(add, shift, m))

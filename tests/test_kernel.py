@@ -405,9 +405,9 @@ def test_relation_decisions_without_weights():
 def test_kernel_compute_reducer_work(context, monkeypatch):
     # a quotient is decided in the tag ring by one reduction, so no
     # normal form in the whole ring is built for one outside the
-    # algebra: 5002 divisor lookups, against 8073 on a second engine per
-    # index and 21340 when every quotient was reduced in full; the
-    # engines take 622 pair steps
+    # algebra: 4977 divisor lookups, against 8073 on a second engine per
+    # index and 18854 when every quotient is decided by representation;
+    # the engines take 622 pair steps
     finds = []
     steps = []
     find = _Reducer.find

@@ -293,6 +293,11 @@ def test_pow_keeps_only_the_square():
     assert (g**20).evaluate(at) == g.evaluate(at) ** 20
     kept = _kept_polynomials(g)
     assert len(kept) == 1 and kept[0] is g**2
+    # a map over g builds its powers by the same chain, so it keeps
+    # that square itself rather than a copy
+    link = RingMap(R3, R3, [g, Y, Z])
+    link(X**2 * Y)
+    assert link._powers[0][2] is g**2
 
 
 def test_pow_validation():
@@ -609,7 +614,8 @@ def test_ring_map_matches_naive_oracle(f, imgs):
 def test_ring_map_reuses_its_powers(fs, imgs):
     # one map applied in turn to every f, so later calls read the image
     # powers that earlier ones kept; a stale power shows against a
-    # fresh map and against the oracle
+    # fresh map and against the oracle, and every kept power is the
+    # Polynomial that ** builds
     link = RingMap(R3, R2, imgs)
     for f in fs:
         got = link(f)
@@ -617,6 +623,9 @@ def test_ring_map_reuses_its_powers(fs, imgs):
         assert got.term_dict() == oracles.naive_substitute(
             [g.term_dict() for g in imgs], f.term_dict(), R2.nvars
         )
+        for i, kept in link._powers.items():
+            for e, power in kept.items():
+                assert isinstance(power, Polynomial) and power == imgs[i] ** e
 
 
 # -- LaurentElement ---------------------------------------------------------
