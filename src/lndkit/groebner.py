@@ -2,13 +2,23 @@
 package leans on: relation ideals of a list of ring elements, and
 membership tests for the subalgebra they generate.
 
-The Buchberger loop uses the normal selection strategy (smallest lcm
-under the order first, ties broken by pair indices; the tag ideals
-below pop by a weighted lcm degree first) and prunes the pair queue
-with the Gebauer-Moller criteria: coprime leading monomials, chains
-through a dividing lcm, and duplicate lcms.  Output bases are reduced
-and monic, hence unique for a given ideal and order, with generators
-sorted ascending by leading monomial.
+Two completion engines share one reducer.  The Buchberger loop
+(_Engine) uses the normal selection strategy (smallest lcm under the
+order first, ties broken by pair indices; the tag ideals below pop by
+a weighted lcm degree first) and prunes the pair queue with the
+Gebauer-Moller criteria: coprime leading monomials, chains through a
+dividing lcm, and duplicate lcms.  It serves buchberger,
+ideal_membership, relation_ideal, testers that are not lazy and
+multiple_of's engine for a tag of weight 0.  The signature engine
+(_SignatureEngine, F5 with Eder-Roune rewriting) serves every lazy
+tester whose tags all weigh more than 0.  A tester's ideal is a graph
+ideal: its quotient is the ring itself, so its generators form a
+regular sequence, and on one the F5 criterion removes every reduction
+to zero, which was most of the Buchberger loop's work there.  On
+relation_ideal's grlex tag order the signature engine is much slower,
+so that tool keeps the loop.  Output bases are reduced and monic,
+hence unique for a given ideal and order, with generators sorted
+ascending by leading monomial.
 
 Internally monomials are packed into single integers (see _Packing),
 one 16-bit field per integer weight row of the order (see
@@ -274,13 +284,13 @@ class _Reducer:
     """Fraction-free multivariate division against a growable list of
     basis entries.
 
-    find looks divisors up in an index keyed by the support of a lead:
-    the set of its nonzero packed fields, marked by their guard bits.
-    Each support seen maps to the indexes of the entries whose own
-    support is a subset of it, in list order.  Entries only ever get
-    appended, so the lists are extended as the entry list grows, and a
-    scan of one returns the same first divisor as a scan of the whole
-    list.
+    candidates looks divisors up in an index keyed by the support of a
+    lead: the set of its nonzero packed fields, marked by their guard
+    bits.  Each support seen maps to the indexes of the entries whose
+    own support is a subset of it, in list order.  Entries only ever get
+    appended, so the lists are extended as the entry list grows, and
+    find, scanning one, returns the same first divisor as a scan of the
+    whole list.
     """
 
     __slots__ = ("entries", "guard", "_low", "_supports", "_index")
@@ -294,8 +304,10 @@ class _Reducer:
         self._supports: list[int] = []
         self._index: dict[int, list[int]] = {}
 
-    def find(self, lead: int) -> int:
-        """The index of the first entry whose lead divides lead, or -1."""
+    def candidates(self, lead: int) -> list[int]:
+        """The indexes, in list order, of the entries whose lead's
+        support lies in the support of lead: every entry whose lead
+        divides lead, and maybe others."""
         entries = self.entries
         guard = self.guard
         low = self._low
@@ -314,15 +326,22 @@ class _Reducer:
             indexes = index[key] = [
                 k for k, sk in enumerate(supports) if sk | key == key
             ]
+        return indexes
+
+    def find(self, lead: int) -> int:
+        """The index of the first entry whose lead divides lead, or -1."""
+        entries = self.entries
+        guard = self.guard
         raised = lead | guard
-        for k in indexes:
+        for k in self.candidates(lead):
             if (raised - entries[k][0]) & guard == guard:
                 return k
         return -1
 
-    def reduce(self, f: dict) -> tuple[dict, int]:
+    def reduce(self, f: dict, find=None) -> tuple[dict, int]:
         """Full normal form of the integer dict f as (R, den), meaning
-        R/den; f is consumed.
+        R/den; f is consumed.  find, self.find by default, picks the
+        divisor of each term, or -1 to keep the term.
 
         R has integer coefficients and den is positive.  A divisor with
         leading coefficient lc cancels a term c by first scaling
@@ -335,7 +354,8 @@ class _Reducer:
         den = 1
         entries = self.entries
         guard = self.guard
-        find = self.find
+        if find is None:
+            find = self.find
         push = heapq.heappush
         heap = [-m for m in f]
         heapq.heapify(heap)
@@ -539,6 +559,225 @@ class _Engine:
             self._step()
 
 
+class _SignatureEngine:
+    """Resumable signature-based completion of integer dicts that are
+    homogeneous for positive selection weights: Faugere's F5 criterion
+    (ISSAC 2002) with Eder-Roune rewriting (ISSAC 2013).
+
+    Input i is the module term e_i.  Every entry carries the signature
+    of the module element it was built from, a term m*e_i packed as
+    i << bits | m, with m packed by the engine's packing and bits the
+    width of a packed monomial.  Everything is homogeneous, so an entry,
+    its signature and every multiple of either that reduction meets
+    share one weighted degree, and signatures of one degree compare as
+    these integers do: by index, then by m under the order.  Signatures
+    pop by weighted degree, then as integers.
+
+    A popped signature is dropped when a recorded syzygy signature
+    divides it, or when the lead of an entry of smaller index divides m
+    (the F5 criterion: m*e_i is then the signature of a syzygy).
+    Otherwise its canonical rewriter, the latest entry whose signature
+    divides it, is multiplied up to it and regular-reduced: a term is
+    reduced only by an entry whose multiplied signature is smaller.  A
+    zero result records a syzygy; one whose lead an entry divides with
+    an equal multiplied signature is dropped; any other is adjoined.
+    An S-pair is never formed on coprime leads (its signature is a
+    Koszul syzygy's) nor on equal multiplied signatures; otherwise it
+    queues the larger one, and only its signature is kept.
+
+    The entries are then a Groebner basis up to every popped degree, so
+    after complete_to(d) reducer gives exact normal forms below degree
+    d + 1, as _Engine's does; the basis is not minimal, but an entry
+    whose lead an earlier lead divides is never the first divisor find
+    returns.  On an ideal generated by a regular sequence, such as a
+    tester's graph ideal, no reduction gives zero.
+    """
+
+    __slots__ = (
+        "packing", "weights", "basis", "reducer", "bits", "sigs", "lowered",
+        "lm_tuples", "wdegs", "members", "holders", "syzygies", "inputs",
+        "queue", "bound",
+    )
+
+    def __init__(
+        self, pdicts: Sequence[dict], packing: _Packing, weights: Sequence[int]
+    ):
+        self.packing = packing
+        self.weights = tuple(weights)
+        self.basis: list[tuple] = []
+        self.reducer = _Reducer(self.basis, packing.guard)
+        self.bits = bits = packing.shifts[0] + packing.WIDTH
+        self.sigs: list[int] = []
+        # sigs[k] - lead of entry k: a term m of the entry's degree
+        # multiplies entry k up to signature m + lowered[k]
+        self.lowered: list[int] = []
+        self.lm_tuples: list[tuple[int, ...]] = []
+        self.wdegs: list[int] = []
+        # bit sets of entries: those of each signature index, and those
+        # whose lead holds each variable
+        self.members = [0] * len(pdicts)
+        self.holders = [0] * packing.nvars
+        # per signature index, its recorded syzygy signatures
+        self.syzygies: dict[int, list[int]] = {}
+        self.inputs: dict[int, dict] = {}
+        self.queue: list[tuple[int, int]] = []
+        # the signature being reduced
+        self.bound = 0
+        # inputs take their indexes by weighted degree, ties in input
+        # order, so the F5 criterion counts every input of lower degree
+        # as an earlier one; the queue is then sorted, hence a heap
+        degrees = [
+            sum(w * e for w, e in zip(self.weights, packing.unpack(max(d))))
+            for d in pdicts
+        ]
+        for i, k in enumerate(sorted(range(len(pdicts)), key=degrees.__getitem__)):
+            self.inputs[i << bits] = pdicts[k]
+            self.queue.append((degrees[k], i << bits))
+
+    def _regular(self, lead: int) -> int:
+        """The index of the first entry that reduces lead below the
+        signature bound, or -1."""
+        basis = self.basis
+        lowered = self.lowered
+        guard = self.packing.guard
+        bound = self.bound
+        raised = lead | guard
+        for k in self.reducer.candidates(lead):
+            if (raised - basis[k][0]) & guard == guard and lead + lowered[k] < bound:
+                return k
+        return -1
+
+    def _rewritten(self, sig: int) -> dict | None:
+        """The multiple of sig's canonical rewriter that has signature
+        sig, or None when a criterion drops sig or no entry reduces the
+        multiple's lead below sig: the rewriter's own lead then divides
+        it at sig, so its reduction would be dropped as singular."""
+        guard = self.packing.guard
+        index = sig >> self.bits
+        raised = sig | guard
+        for s in self.syzygies.get(index, ()):
+            if (raised - s) & guard == guard:
+                return None
+        basis = self.basis
+        sigs = self.sigs
+        mono = sig - (index << self.bits)
+        raised_mono = mono | guard
+        # the entries of smaller index whose lead's variables all occur
+        # in mono, as a bit set
+        found = 0
+        for members in self.members[:index]:
+            found |= members
+        outside = 0
+        for e, holders in zip(self.packing.unpack(mono), self.holders):
+            if not e:
+                outside |= holders
+        found &= ~outside
+        while found:
+            low = found & -found
+            if (raised_mono - basis[low.bit_length() - 1][0]) & guard == guard:
+                return None
+            found ^= low
+        # the canonical rewriter, the latest entry of this index whose
+        # signature divides sig; the S-pair's own entry is one
+        members = self.members[index]
+        while True:
+            k = members.bit_length() - 1
+            if (raised - sigs[k]) & guard == guard:
+                break
+            members ^= 1 << k
+        lm, lc, tail = basis[k]
+        shift = sig - sigs[k]
+        if self._regular(lm + shift) < 0:
+            return None
+        d = {m + shift: c for m, c in tail}
+        d[lm + shift] = lc
+        return d
+
+    def _adjoin(self, d: dict, sig: int, wdeg: int) -> None:
+        basis = self.basis
+        lowered = self.lowered
+        lm_tuples = self.lm_tuples
+        wdegs = self.wdegs
+        holders = self.holders
+        units = self.packing.units
+        weights = self.weights
+        t = len(basis)
+        basis.append(_entry(d))
+        Tp = basis[t][0]
+        T = self.packing.unpack(Tp)
+        self.sigs.append(sig)
+        lowered.append(sig - Tp)
+        lm_tuples.append(T)
+        wdegs.append(wdeg)
+        self.members[sig >> self.bits] |= 1 << t
+        occurs = [(j, e) for j, e in enumerate(T) if e]
+        # pairs on coprime leads are never formed, so only the entries
+        # whose leads share a variable with Tp are visited
+        sharing = 0
+        for j, _ in occurs:
+            sharing |= holders[j]
+            holders[j] |= 1 << t
+        queue = self.queue
+        while sharing:
+            low = sharing & -sharing
+            sharing ^= low
+            i = low.bit_length() - 1
+            plcm = basis[i][0] + Tp
+            pdeg = wdegs[i] + wdeg
+            L = lm_tuples[i]
+            for j, e in occurs:
+                x = L[j]
+                if x:
+                    if x > e:
+                        x = e
+                    plcm -= x * units[j]
+                    pdeg -= x * weights[j]
+            # both fields of each sum stay below 2^16, so no field carries
+            a, b = plcm + lowered[i], plcm + lowered[t]
+            if a != b:
+                heapq.heappush(queue, (pdeg, a if a > b else b))
+
+    def _step(self) -> None:
+        queue = self.queue
+        wdeg, sig = heapq.heappop(queue)
+        while queue and queue[0][1] == sig:
+            heapq.heappop(queue)
+        if wdeg >= _Packing.LIMIT:
+            # every packed field of a term is at most its weighted degree
+            raise ExponentOverflowError(
+                f"weighted degree {wdeg} exceeds the packed-field limit"
+            )
+        self.bound = sig
+        d = self.inputs.pop(sig, None)
+        if d is None:
+            d = self._rewritten(sig)
+            if d is None:
+                return
+        remainder, _ = self.reducer.reduce(d, self._regular)
+        if not remainder:
+            self.syzygies.setdefault(sig >> self.bits, []).append(sig)
+            return
+        lead = max(remainder)
+        guard = self.packing.guard
+        raised = lead | guard
+        basis = self.basis
+        lowered = self.lowered
+        for k in self.reducer.candidates(lead):
+            if (raised - basis[k][0]) & guard == guard and lead + lowered[k] == sig:
+                return
+        self._adjoin(remainder, sig, wdeg)
+
+    def complete_to(self, wdeg: int) -> None:
+        queue = self.queue
+        while queue and queue[0][0] <= wdeg:
+            self._step()
+
+    def complete(self) -> None:
+        queue = self.queue
+        while queue:
+            self._step()
+
+
 def _interreduce(basis: Sequence[tuple], guard: int) -> list[dict]:
     """The reduced basis of the entries as primitive integer dicts,
     ascending by lead; each over its leading coefficient is monic."""
@@ -650,7 +889,7 @@ def _moved(d: dict, moves: tuple[tuple[int, int], ...], mask: int) -> dict:
 
 def _tag_ideal(
     elements: tuple[Polynomial, ...], last: int | None = None
-) -> tuple[Ring, Ring, _Engine, bool, tuple]:
+) -> tuple[Ring, Ring, _Engine | _SignatureEngine, bool, tuple]:
     """The ideal of the den*g_i - den*X_i, one fresh tag X_i per element
     g_i with denominator den, in the ring extended by the tags.
 
@@ -661,7 +900,9 @@ def _tag_ideal(
     names y.  Returns the ring, the ring of the tags, the engine on the
     ideal (it holds the packing), whether every element is weighted
     homogeneous and the moves that rename a packed dict of the ring onto
-    the tags (for _moved).  A tag's selection weight is the weighted
+    the tags (for _moved).  The engine is a _SignatureEngine when last is
+    given, every element is homogeneous and every tag weighs more than
+    0, and an _Engine otherwise.  A tag's selection weight is the weighted
     degree of its element (1 for a zero element), so the rename keeps
     degrees.  The rows (see _graded_rows) eliminate the ring variables;
     on the tags they are grlex when last is None, else weighted
@@ -699,8 +940,11 @@ def _tag_ideal(
             d = _moved(d, moves, packing.mask)
         d[units[n + i]] = -den
         ideal.append(d)
-    engine = _Engine(ideal, packing, weights)
     homogeneous = all(len(ds) <= 1 for ds in degrees)
+    if last is not None and homogeneous and all(weights[n:]):
+        engine = _SignatureEngine(ideal, packing, weights)
+    else:
+        engine = _Engine(ideal, packing, weights)
     return ring, tag_ring, engine, homogeneous, moves
 
 
@@ -745,6 +989,14 @@ class SubalgebraTester:
     basis is completed lazily: each membership query extends it just
     past the query's weighted degree, which is as far as the answer can
     depend on.  Otherwise the first query completes it.
+
+    A lazy tester whose elements all have positive degree completes by
+    signatures (_SignatureEngine): the g_i - tag_i are a regular
+    sequence, so no pair reduces to zero.  Its basis is not minimal,
+    but the full normal form modulo any Groebner basis through the
+    query's degree is the same, so every answer and representation is
+    the one the Buchberger loop (_Engine) gives; the other testers keep
+    that loop.
 
     An element that is a ring variable y itself is renamed onto its tag
     (see _tag_ideal), and so is y in every query: the query keeps its

@@ -9,6 +9,8 @@ SubalgebraTester against linear-algebra oracles that know no Groebner
 theory at all (see oracles.py).
 """
 
+import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -34,12 +36,20 @@ from lndkit import (
     s_polynomial,
     subalgebra_membership,
 )
-from lndkit.groebner import _Packing, _Reducer
+from lndkit.groebner import (
+    _Engine,
+    _interreduce,
+    _Packing,
+    _Reducer,
+    _SignatureEngine,
+    _tag_ideal,
+)
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
 X2, Y2 = R2.var("x"), R2.var("y")
 X, Y, Z = R3.var("x"), R3.var("y"), R3.var("z")
+PINNED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pinned.json"
 
 ORDERS = [
     MonomialOrder.lex(),
@@ -608,6 +618,35 @@ def test_multiple_of_agrees_with_ideal_membership(elements, data):
                 assert tester.multiple_of(query) == expected
 
 
+def _buchberger_twin(tester):
+    """A tester on the same elements, packing and weights whose engine
+    is the Buchberger _Engine instead of tester's signature engine."""
+    twin = SubalgebraTester(tester.elements, tester.last)
+    engine = twin._engine
+    assert isinstance(engine, _SignatureEngine) and not engine.basis
+    twin._engine = _Engine(list(engine.inputs.values()), engine.packing, engine.weights)
+    return twin
+
+
+@settings(max_examples=30)
+@given(_homogeneous_elements(most=4), st.data())
+def test_signature_tester_matches_buchberger(elements, data):
+    # full normal forms modulo any Groebner basis through the query's
+    # degree agree, so both engines give every answer and representation
+    last = data.draw(st.integers(0, len(elements) - 1))
+    tester = SubalgebraTester(elements, last)
+    twin = _buchberger_twin(tester)
+    substitute = RingMap(tester.tag_ring, R2, tuple(elements))
+    lift, nudge = (data.draw(_polys(tester.tag_ring, 2, 3, _SCALARS)) for _ in "ln")
+    member = substitute(lift)
+    for f in (member, member + substitute(nudge) * X2 + Y2**2):
+        assert tester.representation(f) == twin.representation(f)
+    tag = tester.tag_ring.var(tester.tag_ring.variables[last])
+    for relation in (*relation_ideal(elements).generators, lift, tag * lift + nudge):
+        assert tester.multiple_of(relation) == twin.multiple_of(relation)
+    assert not tester._engine.syzygies
+
+
 @pytest.mark.parametrize("first", ["x^3", "x^3 + 1"])
 def test_multiple_of_completes_the_ideal(first):
     # each tag X in turn is taken last.  Some queries lie in J + (X) but
@@ -724,6 +763,53 @@ def test_subalgebra_membership_convenience():
     rep = subalgebra_membership(X2**2 + Y2**2, [X2 + Y2, X2 * Y2])
     assert rep is not None and str(rep) == "X1^2 - 2*X2"
     assert subalgebra_membership(X2 - Y2, [X2 + Y2, X2 * Y2]) is None
+
+
+def test_signature_tester_matches_buchberger_on_round_three(growth3, context):
+    # the tester of kernel_check's third round against a Buchberger twin
+    candidates = growth3.generators[: growth3.counts[2]]
+    tester = SubalgebraTester(candidates, candidates.index(context.ring.var("x")))
+    twin = _buchberger_twin(tester)
+    checks = growth3.outcomes[2].checks
+    quotients = [c.quotient for c in checks if c.quotient]
+    reps = [tester.representation(q) for q in quotients]
+    assert reps == [twin.representation(q) for q in quotients]
+    assert len(quotients) == 52 and reps.count(None) == 40
+    decided = [tester.multiple_of(c.relation) for c in checks]
+    assert decided == [twin.multiple_of(c.relation) for c in checks]
+    assert decided == [c.representation is not None for c in checks]
+    assert not tester._engine.syzygies
+
+
+def test_signature_engine_keeps_every_relation(context):
+    # the signature engine on relation_ideal's own ideal and grlex tag
+    # order, for the first 18 pinned round-3 candidates modulo x: its
+    # tag-only entries interreduce to the pinned generators.  A rewrite
+    # criterion that drops a signature's pair because a later entry's
+    # signature divides it, without reducing that rewriter's multiple,
+    # loses relations here
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    ring = context.ring
+    modulo_x = RingMap.from_mapping(ring, ring, {"x": ring.zero()})
+    images = tuple(
+        modulo_x(parse_polynomial(text, ring))
+        for text in pinned["round3_candidates"][:18]
+    )
+    _, tag_ring, engine, homogeneous, _ = _tag_ideal(images)
+    assert homogeneous and isinstance(engine, _Engine)
+    packing = engine.packing
+    # _Engine adjoins its inputs on construction and steps only on demand
+    inputs = [{**dict(tail), lm: lc} for lm, lc, tail in engine.basis]
+    signature = _SignatureEngine(inputs, packing, engine.weights)
+    signature.complete()
+    assert not signature.syzygies
+    head = [e for e in signature.basis if e[0] < 1 << packing.shifts[0]]
+    generators = tuple(
+        packing.unpack_poly(tag_ring, d, ring.nvars, d[max(d)])
+        for d in _interreduce(head, packing.guard)
+    )
+    assert generators == relation_ideal(images).generators
+    assert len(generators) == 106
 
 
 def _quotient_images(context):

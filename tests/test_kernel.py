@@ -25,7 +25,7 @@ from lndkit import (
     seed_candidates,
     slice_kernel_generators,
 )
-from lndkit.groebner import _Engine, _Reducer
+from lndkit.groebner import _Engine, _Reducer, _SignatureEngine
 from lndkit.kernel import _minimize
 from lndkit.poly import grlex_key
 
@@ -319,10 +319,11 @@ def test_kernel_compute_growth(growth3, context):
 
 def test_round_three_membership_work(growth3, monkeypatch):
     # the tester's weighted reverse-lex tag block keeps the round-3
-    # basis small (65 entries).  Each of the 40 quotients outside the
-    # algebra is reduced to its full normal form: 17833 divisor lookups,
-    # against 13614 when reduction stopped at a non-member's first ring
-    # term
+    # basis small: 62 signature-engine entries (65 from a Buchberger
+    # engine).  Each of the 40 quotients outside the algebra is reduced
+    # to its full normal form: 14448 divisor lookups (17833 on the
+    # Buchberger engine's basis, 13614 when reduction stopped at a
+    # non-member's first ring term)
     finds = []
     find = _Reducer.find
 
@@ -336,7 +337,7 @@ def test_round_three_membership_work(growth3, monkeypatch):
     fresh = [q for q in quotients if not tester.contains(q)]
     assert len(quotients) == 52 and len(fresh) == 40
     assert len(tester._engine.basis) < 100
-    assert len(finds) < 25000
+    assert len(finds) < 16000
 
 
 def _round_candidates(result, slc):
@@ -405,37 +406,58 @@ def test_relation_decisions_without_weights():
 def test_kernel_compute_reducer_work(context, monkeypatch):
     # a quotient is decided in the tag ring by one reduction, so no
     # normal form in the whole ring is built for one outside the
-    # algebra: 4977 divisor lookups, against 8073 on a second engine per
-    # index and 18854 when every quotient is decided by representation;
-    # the engines take 622 pair steps
+    # algebra.  The relation engines take 443 Buchberger pair steps.
+    # The testers' signature engines make 76 regular reductions and
+    # none gives zero, where Buchberger engines took 179 pair steps,
+    # 124 of them to zero.  3596 divisor lookups: 2171 plain and 1425
+    # regular (4977 plain with Buchberger testers, 8073 on a second
+    # engine per index, 18854 when every quotient is decided by
+    # representation)
     finds = []
     steps = []
+    reductions = []
     find = _Reducer.find
+    regular = _SignatureEngine._regular
     step = _Engine._step
+    reduce = _Reducer.reduce
 
     def counted(self, lead):
         finds.append(lead)
         return find(self, lead)
 
+    def counted_regular(self, lead):
+        finds.append(lead)
+        return regular(self, lead)
+
     def counted_step(self):
         steps.append(self)
         return step(self)
 
+    def counted_reduce(self, f, find=None):
+        if find is not None:
+            reductions.append(find.__self__)
+        return reduce(self, f, find)
+
     derivation = Derivation(context.derivation.ring, context.derivation.images)
     slc = Slice(derivation, "s", "x")
     monkeypatch.setattr(_Reducer, "find", counted)
+    monkeypatch.setattr(_SignatureEngine, "_regular", counted_regular)
     monkeypatch.setattr(_Engine, "_step", counted_step)
+    monkeypatch.setattr(_Reducer, "reduce", counted_reduce)
     result = kernel_compute(derivation, slc, 3)
     assert result.counts == (4, 7, 13, 41)
     assert len(finds) < 6000
-    assert len(steps) < 700
+    assert len(steps) < 500
+    testers = set(reductions)
+    assert len(testers) == 3 and len(reductions) < 100
+    assert sum(len(s) for e in testers for s in e.syzygies.values()) == 0
 
 
 def test_kernel_compute_polynomial_work(context, monkeypatch):
-    # RingMap.apply and Derivation.apply build only their results, and
-    # the ring constructors build through _make: 475 Polynomials, against
-    # 3367 when every power, partial product, partial derivative and
-    # partial sum was one.  Fresh objects, so no cached projection or
+    # a RingMap keeps its image powers, Derivation.apply builds only its
+    # result, and the ring constructors build through _make: 473
+    # Polynomials, against 3367 when every power, partial product,
+    # partial derivative and partial sum was one.  Fresh objects, so no cached projection or
     # image table from another test is reused.
     made = []
     make = Polynomial._make.__func__
