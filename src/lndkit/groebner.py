@@ -2,11 +2,15 @@
 package leans on: relation ideals of a list of ring elements, and
 membership tests for the subalgebra they generate.
 
-Two completion engines share one reducer.  The Buchberger loop
-(_Engine) uses the normal selection strategy (smallest lcm under the
-order first, ties broken by pair indices; the tag ideals below pop by
-a weighted lcm degree first) and prunes the pair queue with the
-Gebauer-Moller criteria: coprime leading monomials, chains through a
+Two completion engines extend one basis record (_Basis): the entries,
+their reducer, each lead unpacked with its weighted degree, and the lcm
+of two leads.  Lead supports are kept once, as the reducer's
+guard-field masks; its divisor index extends a key's list only when
+that key is looked up again.  The Buchberger loop (_Engine) uses the
+normal selection strategy (smallest lcm under the order first, ties
+broken by pair indices; the tag ideals below pop by a weighted lcm
+degree first) and prunes the pair queue with the Gebauer-Moller
+criteria: coprime leading monomials, chains through a
 dividing lcm, and duplicate lcms.  It serves buchberger,
 ideal_membership, relation_ideal, testers that are not lazy and
 multiple_of's engine for a tag of weight 0.  The signature engine
@@ -198,6 +202,9 @@ class _Packing:
         raw = {row.index(1): s for row, s in zip(rows, self.shifts) if sum(row) == 1}
         self.raw_shifts = tuple(raw[j] for j in range(nvars))
         self.guard = sum(self.LIMIT << s for s in self.shifts)
+        # the guard bits of the unit-row fields: a weighted row is nonzero
+        # in two monomials that share no variable, a unit row is not
+        self.unit = sum(self.LIMIT << s for s in self.raw_shifts)
         self.mask = (1 << width) - 1
         # every field is at most the heaviest weight times the degree
         self._rows = rows
@@ -286,11 +293,13 @@ class _Reducer:
 
     candidates looks divisors up in an index keyed by the support of a
     lead: the set of its nonzero packed fields, marked by their guard
-    bits.  Each support seen maps to the indexes of the entries whose
-    own support is a subset of it, in list order.  Entries only ever get
-    appended, so the lists are extended as the entry list grows, and
-    find, scanning one, returns the same first divisor as a scan of the
-    whole list.
+    bits.  supports() gives the support of every entry's lead, the one
+    support form the engines read too.  Each support looked up maps to
+    the indexes of the entries whose own support is a subset of it, in
+    list order, and to how many entries it has seen.  Entries only ever
+    get appended, so a key's list is extended by the entries appended
+    since, and only when that key is looked up again; find, scanning
+    one, returns the same first divisor as a scan of the whole list.
     """
 
     __slots__ = ("entries", "guard", "_low", "_supports", "_index")
@@ -302,30 +311,35 @@ class _Reducer:
         # exactly when the field is nonzero
         self._low = guard - (guard >> (_Packing.WIDTH - 1))
         self._supports: list[int] = []
-        self._index: dict[int, list[int]] = {}
+        self._index: dict[int, list] = {}
+
+    def supports(self) -> list[int]:
+        """The support of each entry's lead, in list order."""
+        supports = self._supports
+        low, guard = self._low, self.guard
+        supports.extend((lm + low) & guard for lm, _, _ in self.entries[len(supports):])
+        return supports
 
     def candidates(self, lead: int) -> list[int]:
         """The indexes, in list order, of the entries whose lead's
         support lies in the support of lead: every entry whose lead
         divides lead, and maybe others."""
-        entries = self.entries
-        guard = self.guard
-        low = self._low
-        index = self._index
         supports = self._supports
-        if len(supports) < len(entries):
-            for k in range(len(supports), len(entries)):
-                sk = (entries[k][0] + low) & guard
-                supports.append(sk)
-                for key, indexes in index.items():
-                    if sk | key == key:
-                        indexes.append(k)
-        key = (lead + low) & guard
-        indexes = index.get(key)
-        if indexes is None:
-            indexes = index[key] = [
-                k for k, sk in enumerate(supports) if sk | key == key
-            ]
+        n = len(self.entries)
+        if len(supports) < n:
+            self.supports()
+        key = (lead + self._low) & self.guard
+        kept = self._index.get(key)
+        if kept is None:
+            indexes = [k for k, sk in enumerate(supports) if sk | key == key]
+            self._index[key] = [indexes, n]
+            return indexes
+        indexes, seen = kept
+        if seen < n:
+            for k in range(seen, n):
+                if supports[k] | key == key:
+                    indexes.append(k)
+            kept[1] = n
         return indexes
 
     def find(self, lead: int) -> int:
@@ -420,7 +434,67 @@ def _spoly(a: tuple, b: tuple, plcm: int, guard: int) -> dict:
     return out
 
 
-class _Engine:
+class _Basis:
+    """The basis record both completion engines extend: the entries,
+    their reducer, each lead unpacked (its nonzero exponents by
+    variable) and its weighted degree under the selection weights, all
+    0 without them.  Leads i and t share a variable exactly when the
+    reducer's supports meet on a unit field, supports[i] & supports[t]
+    & packing.unit.  Each engine's _step pops queue, a heap whose items
+    lead with a weighted degree: complete_to(d) steps while the next is
+    at most d, and complete until the queue is empty."""
+
+    __slots__ = ("packing", "weights", "basis", "reducer", "leads", "wdegs", "queue")
+
+    def __init__(self, packing: _Packing, weights: Sequence[int] | None):
+        self.packing = packing
+        self.weights = tuple(weights) if weights else (0,) * packing.nvars
+        self.basis: list[tuple] = []
+        self.reducer = _Reducer(self.basis, packing.guard)
+        self.leads: list[dict[int, int]] = []
+        self.wdegs: list[int] = []
+        self.queue: list[tuple] = []
+
+    def _append(self, d: dict) -> int:
+        """Append the entry of the nonzero integer dict d; its index."""
+        entry = _entry(d)
+        self.basis.append(entry)
+        lead = {j: e for j, e in enumerate(self.packing.unpack(entry[0])) if e}
+        self.leads.append(lead)
+        weights = self.weights
+        self.wdegs.append(sum(weights[j] * e for j, e in lead.items()))
+        return len(self.basis) - 1
+
+    def _lcm(self, i: int, t: int) -> tuple[int, int]:
+        """The packed lcm of the leads of entries i and t, and its
+        weighted degree: their sum less the shared part."""
+        # the fields of the sum stay below 2^16, so none carries
+        plcm = self.basis[i][0] + self.basis[t][0]
+        wdeg = self.wdegs[i] + self.wdegs[t]
+        units = self.packing.units
+        weights = self.weights
+        L = self.leads[i]
+        for j, e in self.leads[t].items():
+            x = L.get(j)
+            if x:
+                if x > e:
+                    x = e
+                plcm -= x * units[j]
+                wdeg -= x * weights[j]
+        return plcm, wdeg
+
+    def complete_to(self, wdeg: int) -> None:
+        queue = self.queue
+        while queue and queue[0][0] <= wdeg:
+            self._step()
+
+    def complete(self) -> None:
+        queue = self.queue
+        while queue:
+            self._step()
+
+
+class _Engine(_Basis):
     """Resumable Buchberger loop on packed, primitive integer entries.
 
     Pairs pop by the lcm under the order (whose top field is the degree
@@ -431,8 +505,6 @@ class _Engine:
     one, and old pairs die when the new lead divides their lcm strictly
     between the two old lcms.  Retired elements (lead
     divisible by a newer lead) stop forming pairs but keep reducing.
-    Each lcm with the newest lead is taken once, as the sum of the
-    packed leads less the shared part, and so is its weighted degree.
 
     When every input is homogeneous for the selection weights, the pop
     degree never decreases, so after complete_to(d) the basis computes
@@ -443,10 +515,7 @@ class _Engine:
     primitive, so the basis carries no denominators.
     """
 
-    __slots__ = (
-        "packing", "weights", "basis", "lm_tuples", "wdegs", "supports",
-        "alive", "pairs", "pair_heap", "reducer",
-    )
+    __slots__ = ("alive", "pairs")
 
     def __init__(
         self,
@@ -454,49 +523,30 @@ class _Engine:
         packing: _Packing,
         weights: Sequence[int] | None = None,
     ):
-        self.packing = packing
-        self.weights = tuple(weights) if weights else (0,) * packing.nvars
-        self.basis: list[tuple] = []
-        self.lm_tuples: list[tuple[int, ...]] = []
-        # the weighted degree of each lead
-        self.wdegs: list[int] = []
-        # bit j set when variable j occurs in the lead
-        self.supports: list[int] = []
+        super().__init__(packing, weights)
         self.alive: list[bool] = []
         self.pairs: dict[tuple[int, int], int] = {}
-        self.pair_heap: list[tuple] = []
-        self.reducer = _Reducer(self.basis, packing.guard)
         for d in sorted(pdicts, key=lambda d: (max(d), sorted(d.items()))):
             self._adjoin(d)
 
     def _update(self, t: int) -> None:
         guard = self.packing.guard
         basis = self.basis
-        lm_tuples = self.lm_tuples
         wdegs = self.wdegs
-        supports = self.supports
+        supports = self.reducer.supports()
         alive = self.alive
         pairs = self.pairs
-        units = self.packing.units
-        weights = self.weights
-        T, St, Tp, Tw = lm_tuples[t], supports[t], basis[t][0], wdegs[t]
-        occurs = [(j, e) for j, e in enumerate(T) if e]
+        Tp, Tw = basis[t][0], wdegs[t]
+        St = supports[t] & self.packing.unit
         lcms = []
         cand = []
         for i in range(t):
-            # the fields of the sum stay below 2^16, so none carries
-            plcm = basis[i][0] + Tp
-            wdeg = wdegs[i] + Tw
             shares = supports[i] & St
             if shares:
-                L = lm_tuples[i]
-                for j, e in occurs:
-                    x = L[j]
-                    if x:
-                        if x > e:
-                            x = e
-                        plcm -= x * units[j]
-                        wdeg -= x * weights[j]
+                plcm, wdeg = self._lcm(i, t)
+            else:
+                # coprime leads: the lcm is their sum, and no field carries
+                plcm, wdeg = basis[i][0] + Tp, wdegs[i] + Tw
             _checked(plcm, guard)
             lcms.append(plcm)
             if alive[i]:
@@ -514,7 +564,7 @@ class _Engine:
         # dividing its own; coprime ones sort first in a tie and are kept
         # for this test but never queued
         kept: list[int] = []
-        heap = self.pair_heap
+        queue = self.queue
         for plcm, shares, i, wdeg in sorted(cand):
             if shares:
                 raised = plcm | guard
@@ -523,19 +573,15 @@ class _Engine:
                         break
                 else:
                     pairs[(i, t)] = plcm
-                    heapq.heappush(heap, (wdeg, plcm, i, t))
+                    heapq.heappush(queue, (wdeg, plcm, i, t))
                     kept.append(plcm)
             else:
                 kept.append(plcm)
 
     def _adjoin(self, d: dict) -> None:
-        self.basis.append(_entry(d))
-        T = self.packing.unpack(self.basis[-1][0])
-        self.lm_tuples.append(T)
-        self.wdegs.append(sum(w * e for w, e in zip(self.weights, T)))
-        self.supports.append(sum(1 << j for j, e in enumerate(T) if e))
+        t = self._append(d)
         self.alive.append(True)
-        self._update(len(self.basis) - 1)
+        self._update(t)
 
     def add(self, d: dict) -> None:
         """Adjoin the normal form of the integer dict d, unless it is 0."""
@@ -544,22 +590,12 @@ class _Engine:
             self._adjoin(remainder)
 
     def _step(self) -> None:
-        _, plcm, i, j = heapq.heappop(self.pair_heap)
+        _, plcm, i, j = heapq.heappop(self.queue)
         if self.pairs.pop((i, j), None) is not None:
             self.add(_spoly(self.basis[i], self.basis[j], plcm, self.packing.guard))
 
-    def complete_to(self, wdeg: int) -> None:
-        heap = self.pair_heap
-        while heap and heap[0][0] <= wdeg:
-            self._step()
 
-    def complete(self) -> None:
-        heap = self.pair_heap
-        while heap:
-            self._step()
-
-
-class _SignatureEngine:
+class _SignatureEngine(_Basis):
     """Resumable signature-based completion of integer dicts that are
     homogeneous for positive selection weights: Faugere's F5 criterion
     (ISSAC 2002) with Eder-Roune rewriting (ISSAC 2013).
@@ -593,34 +629,22 @@ class _SignatureEngine:
     tester's graph ideal, no reduction gives zero.
     """
 
-    __slots__ = (
-        "packing", "weights", "basis", "reducer", "bits", "sigs", "lowered",
-        "lm_tuples", "wdegs", "members", "holders", "syzygies", "inputs",
-        "queue", "bound",
-    )
+    __slots__ = ("bits", "sigs", "lowered", "members", "syzygies", "inputs", "bound")
 
     def __init__(
         self, pdicts: Sequence[dict], packing: _Packing, weights: Sequence[int]
     ):
-        self.packing = packing
-        self.weights = tuple(weights)
-        self.basis: list[tuple] = []
-        self.reducer = _Reducer(self.basis, packing.guard)
+        super().__init__(packing, weights)
         self.bits = bits = packing.shifts[0] + packing.WIDTH
         self.sigs: list[int] = []
         # sigs[k] - lead of entry k: a term m of the entry's degree
         # multiplies entry k up to signature m + lowered[k]
         self.lowered: list[int] = []
-        self.lm_tuples: list[tuple[int, ...]] = []
-        self.wdegs: list[int] = []
-        # bit sets of entries: those of each signature index, and those
-        # whose lead holds each variable
+        # the entries of each signature index, as a bit set
         self.members = [0] * len(pdicts)
-        self.holders = [0] * packing.nvars
         # per signature index, its recorded syzygy signatures
         self.syzygies: dict[int, list[int]] = {}
         self.inputs: dict[int, dict] = {}
-        self.queue: list[tuple[int, int]] = []
         # the signature being reduced
         self.bound = 0
         # inputs take their indexes by weighted degree, ties in input
@@ -660,23 +684,13 @@ class _SignatureEngine:
                 return None
         basis = self.basis
         sigs = self.sigs
-        mono = sig - (index << self.bits)
+        below = index << self.bits
+        mono = sig - below
         raised_mono = mono | guard
-        # the entries of smaller index whose lead's variables all occur
-        # in mono, as a bit set
-        found = 0
-        for members in self.members[:index]:
-            found |= members
-        outside = 0
-        for e, holders in zip(self.packing.unpack(mono), self.holders):
-            if not e:
-                outside |= holders
-        found &= ~outside
-        while found:
-            low = found & -found
-            if (raised_mono - basis[low.bit_length() - 1][0]) & guard == guard:
+        # the F5 criterion: the lead of an entry of smaller index divides mono
+        for k in self.reducer.candidates(mono):
+            if sigs[k] < below and (raised_mono - basis[k][0]) & guard == guard:
                 return None
-            found ^= low
         # the canonical rewriter, the latest entry of this index whose
         # signature divides sig; the S-pair's own entry is one
         members = self.members[index]
@@ -693,49 +707,23 @@ class _SignatureEngine:
         d[lm + shift] = lc
         return d
 
-    def _adjoin(self, d: dict, sig: int, wdeg: int) -> None:
-        basis = self.basis
+    def _adjoin(self, d: dict, sig: int) -> None:
+        t = self._append(d)
         lowered = self.lowered
-        lm_tuples = self.lm_tuples
-        wdegs = self.wdegs
-        holders = self.holders
-        units = self.packing.units
-        weights = self.weights
-        t = len(basis)
-        basis.append(_entry(d))
-        Tp = basis[t][0]
-        T = self.packing.unpack(Tp)
         self.sigs.append(sig)
-        lowered.append(sig - Tp)
-        lm_tuples.append(T)
-        wdegs.append(wdeg)
+        lowered.append(sig - self.basis[t][0])
         self.members[sig >> self.bits] |= 1 << t
-        occurs = [(j, e) for j, e in enumerate(T) if e]
-        # pairs on coprime leads are never formed, so only the entries
-        # whose leads share a variable with Tp are visited
-        sharing = 0
-        for j, _ in occurs:
-            sharing |= holders[j]
-            holders[j] |= 1 << t
+        supports = self.reducer.supports()
+        St = supports[t] & self.packing.unit
         queue = self.queue
-        while sharing:
-            low = sharing & -sharing
-            sharing ^= low
-            i = low.bit_length() - 1
-            plcm = basis[i][0] + Tp
-            pdeg = wdegs[i] + wdeg
-            L = lm_tuples[i]
-            for j, e in occurs:
-                x = L[j]
-                if x:
-                    if x > e:
-                        x = e
-                    plcm -= x * units[j]
-                    pdeg -= x * weights[j]
-            # both fields of each sum stay below 2^16, so no field carries
-            a, b = plcm + lowered[i], plcm + lowered[t]
-            if a != b:
-                heapq.heappush(queue, (pdeg, a if a > b else b))
+        # pairs on coprime leads are never formed
+        for i in range(t):
+            if supports[i] & St:
+                plcm, pdeg = self._lcm(i, t)
+                # both fields of each sum stay below 2^16, so no field carries
+                a, b = plcm + lowered[i], plcm + lowered[t]
+                if a != b:
+                    heapq.heappush(queue, (pdeg, a if a > b else b))
 
     def _step(self) -> None:
         queue = self.queue
@@ -765,17 +753,7 @@ class _SignatureEngine:
         for k in self.reducer.candidates(lead):
             if (raised - basis[k][0]) & guard == guard and lead + lowered[k] == sig:
                 return
-        self._adjoin(remainder, sig, wdeg)
-
-    def complete_to(self, wdeg: int) -> None:
-        queue = self.queue
-        while queue and queue[0][0] <= wdeg:
-            self._step()
-
-    def complete(self) -> None:
-        queue = self.queue
-        while queue:
-            self._step()
+        self._adjoin(remainder, sig)
 
 
 def _interreduce(basis: Sequence[tuple], guard: int) -> list[dict]:
@@ -962,7 +940,10 @@ class RelationIdeal:
     generators: tuple[Polynomial, ...]
 
     def evaluate(self, relation: Polynomial, elements: Sequence[Polynomial]) -> Polynomial:
-        """Substitute the original elements back into a relation."""
+        """Substitute the original elements back into a relation; the
+        same as RingMap(tag_ring, ring, elements)(relation), kept because
+        the benchmark's relations-r4 workload (perfbench/workloads.py)
+        calls it."""
         if len(elements) != self.tag_ring.nvars:
             raise ValueError("one element per tag required")
         ring = _common_ring(list(elements))

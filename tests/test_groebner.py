@@ -220,6 +220,22 @@ def test_find_agrees_with_first_divisor(packing, steps):
             )
 
 
+@given(
+    st.sampled_from([packing for _, packing, _ in PACKINGS]),
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.tuples(*[st.integers(0, 3)] * 4),
+)
+def test_supports_share_a_variable_on_unit_fields(packing, a, b):
+    # the engines test "leads a and b share a variable" on the reducer's
+    # supports; a weighted row (a degree or a tester's partial sum) is
+    # nonzero in monomials that share no variable, so only the unit
+    # fields may count
+    entries = [(packing.pack(a), 1, ()), (packing.pack(b), 1, ())]
+    sa, sb = _Reducer(entries, packing.guard).supports()
+    shared = any(ea and eb for ea, eb in zip(a, b))
+    assert bool(sa & sb & packing.unit) == shared
+
+
 def test_packing_overflow():
     packing = _Packing(MonomialOrder.grevlex()._rows(2))
     with pytest.raises(ExponentOverflowError):
@@ -810,6 +826,33 @@ def test_signature_engine_keeps_every_relation(context):
     )
     assert generators == relation_ideal(images).generators
     assert len(generators) == 106
+
+
+def test_signature_frontier_work(context, monkeypatch):
+    # the tester of all 41 pinned round-3 candidates, x taken last, to
+    # degree 40: the work a change to the basis bookkeeping must not move
+    pops, lookups = [], []
+    step, regular = _SignatureEngine._step, _SignatureEngine._regular
+
+    def counted_step(self):
+        pops.append(self)
+        return step(self)
+
+    def counted_regular(self, lead):
+        lookups.append(lead)
+        return regular(self, lead)
+
+    monkeypatch.setattr(_SignatureEngine, "_step", counted_step)
+    monkeypatch.setattr(_SignatureEngine, "_regular", counted_regular)
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    ring = context.ring
+    candidates = [parse_polynomial(text, ring) for text in pinned["round3_candidates"]]
+    tester = SubalgebraTester(candidates, candidates.index(ring.var("x")))
+    engine = tester._engine
+    engine.complete_to(40)
+    assert isinstance(engine, _SignatureEngine)
+    assert len(engine.basis) == 368 and not engine.syzygies
+    assert len(pops) == 1500 and len(lookups) == 23874
 
 
 def _quotient_images(context):
