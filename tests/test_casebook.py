@@ -3,10 +3,14 @@ deliberate corruptions, and the randomized suite."""
 
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import lndkit.casebook as casebook
+import lndkit.groebner as groebner
+import lndkit.kernel as kernel
 import lndkit.poly as poly
 from lndkit import (
     Check,
@@ -16,6 +20,7 @@ from lndkit import (
     Stratum,
     VerificationReport,
     builtin_context,
+    parse_polynomial,
     random_suite,
     separates,
     separating_values,
@@ -219,6 +224,105 @@ def test_corrupted_quotient_kernel_is_caught(context):
     assert not _status(report, "quotient_kernel_computed").ok
     # the sign flip spans the same algebra, so confirmation still holds
     assert _status(report, "quotient_kernel_confirmed").ok
+
+
+def _corrupted(context, name):
+    """The bundled context with one input broken, by drill name."""
+    ring, q_ring, h_ring = context.ring, context.quotient_ring, context.folded_ring
+    p = lambda text: parse_polynomial(text, ring)
+    qp = lambda text: parse_polynomial(text, q_ring)
+    hp = lambda text: parse_polynomial(text, h_ring)
+    f, h = context.generators, context.folded_generators
+    if name == "main slice without u":
+        d = Derivation.from_mapping(ring, {"s": p("x^3"), "t": p("s"), "v": p("x^2")})
+        return dataclasses.replace(context, kernel_slice=Slice(d, "s", "x"))
+    if name == "f2 + t":
+        return dataclasses.replace(context, generators=f[:1] + (f[1] + p("t"),) + f[2:])
+    if name == "quotient slice on t only":
+        d = Derivation.from_mapping(q_ring, {"t": qp("s")})
+        return dataclasses.replace(context, quotient_slice=Slice(d, "t", "s"))
+    if name == "quotient element + t":
+        broken = (qp("s"), qp("2*s*u - t^2 + t"), qp("v"))
+        return dataclasses.replace(context, quotient_kernel=broken)
+    if name == "quotient kernel (s, v)":
+        return dataclasses.replace(context, quotient_kernel=(qp("s"), qp("v")))
+    if name == "folded slice without u":
+        d = Derivation.from_mapping(h_ring, {"v": hp("x^2"), "t": hp("x*v")})
+        return dataclasses.replace(context, folded_slice=Slice(d, "v", "x"))
+    if name == "h2 + x":
+        return dataclasses.replace(context, folded_generators=(h[0], h[1] + hp("x"), h[2], h[3]))
+    if name == "h4 = h2*h3":
+        return dataclasses.replace(context, folded_generators=h[:3] + (h[1] * h[2],))
+    raise KeyError(name)
+
+
+_DRILL_REPORTS = {}
+
+
+# one drill per picture of each statement that holds in several of them
+@pytest.mark.parametrize(
+    "drill, check, witness",
+    [
+        ("main slice without u", "iteration_depths", "main depths (1, 2, 3, 1, 2)"),
+        ("quotient slice on t only", "iteration_depths", "quotient depths (1, 2, 1, 1)"),
+        ("folded slice without u", "iteration_depths", "folded depths (1, 2, 3, 1)"),
+        ("f2 + t", "invariants_annihilated", "f2 maps to s"),
+        ("quotient element + t", "invariants_annihilated",
+         "quotient element 2*s*u - t^2 + t maps to s"),
+        ("folded slice without u", "invariants_annihilated", "h3 maps to -3*x^3*t"),
+        ("f2 + t", "invariants_weighted_homogeneous",
+         "main degrees (1, DegreeSpread(min=3, max=6), 9, 3, 8, 12)"),
+        ("h2 + x", "invariants_weighted_homogeneous",
+         "folded degrees (1, DegreeSpread(min=1, max=4), 6, 10)"),
+        ("quotient element + t", "invariants_weighted_homogeneous",
+         "quotient degrees (3, DegreeSpread(min=3, max=6), 2)"),
+        ("main slice without u", "localized_kernel_generators", "projection of u is u"),
+        ("folded slice without u", "folded_localized_generators",
+         "folded projection of u is u"),
+        ("h2 + x", "folded_localized_generators",
+         "folded projection of t is (x*t - 1/2*v^2) / x"),
+        ("quotient kernel (s, v)", "quotient_kernel_confirmed", "status new-generators"),
+        ("quotient element + t", "quotient_kernel_confirmed",
+         "NonInvariantCandidateError: candidate 2*s*u - t^2 + t is not in the kernel"),
+        ("h4 = h2*h3", "folded_kernel_confirmed", "status new-generators"),
+        ("folded slice without u", "folded_kernel_confirmed",
+         "NonInvariantCandidateError: candidate 3*x^3*u - 3*x*v*t + v^3 is not in the kernel"),
+    ],
+)
+def test_corruption_drill_witness(context, drill, check, witness):
+    if drill not in _DRILL_REPORTS:
+        _DRILL_REPORTS[drill] = verify_paper(_corrupted(context, drill))
+    assert _status(_DRILL_REPORTS[drill], check).witness == witness
+
+
+def test_verify_paper_kernel_work(monkeypatch):
+    # one run makes 9 kernel_check, 3 kernel_compute, 10 relation_ideal
+    # calls and builds 18 testers, so no check is dropped or repeated.
+    # A fresh context, so no iterate cached by another test is reused.
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (casebook, kernel):
+        for name in ("kernel_check", "kernel_compute", "relation_ideal"):
+            if hasattr(module, name):
+                counting(module, name)
+    counting(groebner.SubalgebraTester, "__init__")
+    report = verify_paper(builtin_context.__wrapped__())
+    assert report.passed and len(report.checks) == len(EXPECTED_CHECKS)
+    assert calls == {
+        "kernel_check": 9,
+        "kernel_compute": 3,
+        "relation_ideal": 10,
+        "__init__": 18,
+    }
 
 
 # -- randomized suite ------------------------------------------------------------
