@@ -13,7 +13,8 @@ weighted so that D is homogeneous, together with
     pinned by one relation (h2^3 + h3^2 = x^2 * h4).
 
 verify_paper re-derives every one of those statements with exact
-arithmetic and reports one ok/FAIL line per statement.  random_suite
+arithmetic and reports one ok/FAIL line per statement; a statement that
+holds in several pictures has one body, which loops over them.  random_suite
 drives the separation claims with seeded random points instead of fixed
 ones.
 """
@@ -101,6 +102,9 @@ class PaperContext:
     folded_slice: Slice                         # Delta': v over x^2
 
     def __post_init__(self):
+        counts = (len(self.generators), len(self.folded_generators))
+        if counts != (6, 4):
+            raise ValueError(f"expected f1..f6 and h1..h4, got {counts[0]} and {counts[1]}")
         for name, link, target in (
             ("quotient", self.quotient_map, self.quotient_ring),
             ("fold", self.fold_map, self.folded_ring),
@@ -264,6 +268,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     ring = context.ring
     D = context.derivation
     f = context.generators
+    h = context.folded_generators
     parse = lambda text: parse_polynomial(text, ring)
     checks: list[Check] = []
     add = checks.append
@@ -279,54 +284,41 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
         "some variable never reaches zero")))
 
     def iteration_depths() -> str | None:
-        got = tuple(D.nilpotency_index(ring.var(n)) for n in ring.variables)
-        if got != (1, 2, 3, 4, 2):
-            return f"main depths {got}"
-        q = context.quotient_derivation
-        got_q = tuple(
-            q.nilpotency_index(context.quotient_ring.var(n))
-            for n in context.quotient_ring.variables
-        )
-        if got_q != (1, 2, 3, 1):
-            return f"quotient depths {got_q}"
-        h = context.folded_derivation
-        got_h = tuple(
-            h.nilpotency_index(context.folded_ring.var(n))
-            for n in context.folded_ring.variables
-        )
-        if got_h != (1, 2, 3, 4):
-            return f"folded depths {got_h}"
+        for label, d, expected in (
+            ("main", D, (1, 2, 3, 4, 2)),
+            ("quotient", context.quotient_derivation, (1, 2, 3, 1)),
+            ("folded", context.folded_derivation, (1, 2, 3, 4)),
+        ):
+            got = tuple(d.nilpotency_index(d.ring.var(n)) for n in d.ring.variables)
+            if got != expected:
+                return f"{label} depths {got}"
         return None
 
     add(_check("iteration_depths", iteration_depths))
 
     def invariants_annihilated() -> str | None:
-        for i, g in enumerate(f, start=1):
-            image = D(g)
-            if not image.is_zero():
-                return f"f{i} maps to {image}"
-        for g in context.quotient_kernel:
-            image = context.quotient_derivation(g)
-            if not image.is_zero():
-                return f"quotient element {g} maps to {image}"
-        for i, g in enumerate(context.folded_generators, start=1):
-            image = context.folded_derivation(g)
-            if not image.is_zero():
-                return f"h{i} maps to {image}"
+        for label, d, elements in (
+            ("f{i}", D, f),
+            ("quotient element {g}", context.quotient_derivation, context.quotient_kernel),
+            ("h{i}", context.folded_derivation, h),
+        ):
+            for i, g in enumerate(elements, start=1):
+                image = d(g)
+                if not image.is_zero():
+                    return f"{label.format(i=i, g=g)} maps to {image}"
         return None
 
     add(_check("invariants_annihilated", invariants_annihilated))
 
     def weighted_degrees() -> str | None:
-        got = tuple(g.weighted_degree() for g in f)
-        if got != (1, 6, 9, 3, 8, 12):
-            return f"main degrees {got}"
-        got_h = tuple(g.weighted_degree() for g in context.folded_generators)
-        if got_h != (1, 4, 6, 10):
-            return f"folded degrees {got_h}"
-        got_q = tuple(g.weighted_degree() for g in context.quotient_kernel)
-        if got_q != (3, 6, 2):
-            return f"quotient degrees {got_q}"
+        for label, elements, expected in (
+            ("main", f, (1, 6, 9, 3, 8, 12)),
+            ("folded", h, (1, 4, 6, 10)),
+            ("quotient", context.quotient_kernel, (3, 6, 2)),
+        ):
+            got = tuple(g.weighted_degree() for g in elements)
+            if got != expected:
+                return f"{label} degrees {got}"
         return None
 
     add(_check("invariants_weighted_homogeneous", weighted_degrees))
@@ -385,21 +377,22 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
 
     add(_check("invariants_constant_on_flows", invariants_constant_on_flows))
 
-    def localized_generators() -> str | None:
-        got = slice_kernel_generators(context.kernel_slice)
-        expected = (
-            LaurentElement(parse("x"), "x", 0),
-            LaurentElement(ring.zero(), "x", 0),
-            LaurentElement(parse("2*x^3*t - s^2") * Fraction(1, 2), "x", 3),
-            LaurentElement(parse("3*x^6*u - 3*x^3*s*t + s^3") * Fraction(1, 3), "x", 6),
-            LaurentElement(parse("x*v - s"), "x", 1),
-        )
-        for name, g, e in zip(ring.variables, got, expected):
-            if g != e:
-                return f"projection of {name} is {g}"
+    def projections(slc: Slice, label: str, expected) -> str | None:
+        # expected: each variable's projection as (numerator, power of x)
+        got = slice_kernel_generators(slc)
+        for name, g, (numerator, power) in zip(slc.derivation.ring.variables, got, expected):
+            if g != LaurentElement(numerator, "x", power):
+                return f"{label} of {name} is {g}"
         return None
 
-    add(_check("localized_kernel_generators", localized_generators))
+    add(_check("localized_kernel_generators", lambda: projections(
+        context.kernel_slice, "projection", (
+            (parse("x"), 0),
+            (ring.zero(), 0),
+            (parse("2*x^3*t - s^2") * Fraction(1, 2), 3),
+            (parse("3*x^6*u - 3*x^3*s*t + s^3") * Fraction(1, 3), 6),
+            (parse("x*v - s"), 1),
+        ))))
 
     def localized_generators_invariant() -> str | None:
         for name, g in zip(ring.variables, slice_kernel_generators(context.kernel_slice)):
@@ -410,22 +403,13 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
 
     add(_check("localized_generators_invariant", localized_generators_invariant))
 
-    def folded_localized_generators() -> str | None:
-        got = slice_kernel_generators(context.folded_slice)
-        h = context.folded_generators
-        fparse = lambda text: parse_polynomial(text, context.folded_ring)
-        expected = (
-            LaurentElement(fparse("x"), "x", 0),
-            LaurentElement(context.folded_ring.zero(), "x", 0),
-            LaurentElement(h[1] * Fraction(1, 2), "x", 1),
-            LaurentElement(h[2] * Fraction(1, 3), "x", 3),
-        )
-        for name, g, e in zip(context.folded_ring.variables, got, expected):
-            if g != e:
-                return f"folded projection of {name} is {g}"
-        return None
-
-    add(_check("folded_localized_generators", folded_localized_generators))
+    add(_check("folded_localized_generators", lambda: projections(
+        context.folded_slice, "folded projection", (
+            (context.folded_ring.var("x"), 0),
+            (context.folded_ring.zero(), 0),
+            (h[1] * Fraction(1, 2), 1),
+            (h[2] * Fraction(1, 3), 3),
+        ))))
 
     def partial_v_link() -> str | None:
         if not commutes_with_partial(D, "v"):
@@ -478,14 +462,12 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
 
     add(_check("fold_preserves_grading", fold_preserves_grading))
 
-    def quotient_kernel_confirmed() -> str | None:
-        outcome = kernel_check(context.quotient_kernel, context.quotient_slice)
-        return _expect(
-            outcome.status is KernelStatus.CONFIRMED,
-            f"status {outcome.status.value}",
-        )
+    def confirmed(candidates: tuple[Polynomial, ...], slc: Slice) -> str | None:
+        status = kernel_check(candidates, slc).status
+        return _expect(status is KernelStatus.CONFIRMED, f"status {status.value}")
 
-    add(_check("quotient_kernel_confirmed", quotient_kernel_confirmed))
+    add(_check("quotient_kernel_confirmed", lambda: confirmed(
+        context.quotient_kernel, context.quotient_slice)))
 
     def quotient_kernel_computed() -> str | None:
         result = kernel_compute(context.quotient_derivation, context.quotient_slice, 5)
@@ -499,20 +481,13 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
 
     add(_check("quotient_kernel_computed", quotient_kernel_computed))
 
-    def folded_kernel_confirmed() -> str | None:
-        outcome = kernel_check(context.folded_generators, context.folded_slice)
-        return _expect(
-            outcome.status is KernelStatus.CONFIRMED,
-            f"status {outcome.status.value}",
-        )
-
-    add(_check("folded_kernel_confirmed", folded_kernel_confirmed))
+    add(_check("folded_kernel_confirmed", lambda: confirmed(h, context.folded_slice)))
 
     def folded_kernel_computed() -> str | None:
         result = kernel_compute(context.folded_derivation, context.folded_slice, 5)
         if not result.stabilized:
             return f"not stabilized, counts {result.counts}"
-        if result.generators != context.folded_generators:
+        if result.generators != h:
             return f"kernel generators {[str(g) for g in result.generators]}"
         if result.counts != (3, 4, 5, 5):
             return f"counts {result.counts}"
@@ -521,7 +496,6 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     add(_check("folded_kernel_computed", folded_kernel_computed))
 
     def folded_identity() -> str | None:
-        h = context.folded_generators
         lhs = h[1] ** 3 + h[2] ** 2
         rhs = context.folded_ring.var("x") ** 2 * h[3]
         return _expect(lhs == rhs, f"h2^3 + h3^2 = {lhs}")
@@ -532,7 +506,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
         reduce_map = RingMap.from_mapping(
             context.folded_ring, context.folded_ring, {"x": context.folded_ring.zero()}
         )
-        images = [reduce_map(h) for h in context.folded_generators]
+        images = [reduce_map(g) for g in h]
         rel = relation_ideal(images)
         expected = tuple(
             parse_polynomial(text, rel.tag_ring) for text in ("X1", "X2^3 + X3^2")
@@ -545,7 +519,6 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     add(_check("folded_relations_mod_localizer", folded_relations))
 
     def membership_representation() -> str | None:
-        h = context.folded_generators
         target = context.folded_ring.var("x") * h[3]
         rep = subalgebra_membership(target, h)
         if rep is None:

@@ -236,13 +236,9 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
     fresh = [c.generator.numerator for c in sufficiency if not c.member]
 
     # Relations of the candidates modulo loc, then divide and retest.
-    reduce_map = RingMap.from_mapping(ring, ring, {slc.loc_var: ring.zero()})
-    images = [reduce_map(f) for f in candidates]
-    relations = relation_ideal(images)
-    substitute = RingMap(relations.tag_ring, ring, candidates)
-
+    substitute = RingMap(tester.tag_ring, ring, candidates)
     checks = []
-    for relation in relations.generators:
+    for relation in _relations(candidates, slc):
         quotient = substitute(relation).exact_divide_var(slc.loc_var, 1)
         representation = None
         if tester.multiple_of(relation):
@@ -273,6 +269,15 @@ def kernel_check(candidates: Sequence[Polynomial], slc: Slice) -> KernelCheckOut
 
     normalized.sort(key=order)
     return KernelCheckOutcome(tuple(normalized), tuple(checks), sufficiency)
+
+
+def _relations(candidates: tuple[Polynomial, ...], slc: Slice) -> tuple[Polynomial, ...]:
+    """The relations phase of kernel_check: generators of the relations
+    among the candidates modulo the localized variable, in the tag ring
+    of the candidates' SubalgebraTester (relation_ideal's reduced basis)."""
+    ring = slc.derivation.ring
+    reduce_map = RingMap.from_mapping(ring, ring, {slc.loc_var: ring.zero()})
+    return relation_ideal([reduce_map(f) for f in candidates]).generators
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,11 @@ def test_context_rejects_bad_wiring(context):
     # a slice on another ring leaves both maps starting elsewhere
     with pytest.raises(ValueError, match="map ring mismatch"):
         dataclasses.replace(context, kernel_slice=context.folded_slice)
+    # verify_paper reads f1..f6 and h1..h4 by index
+    with pytest.raises(ValueError, match="got 5 and 4"):
+        dataclasses.replace(context, generators=context.generators[:5])
+    with pytest.raises(ValueError, match="got 6 and 3"):
+        dataclasses.replace(context, folded_generators=context.folded_generators[:3])
     ring = context.ring
     runaway = Derivation.from_mapping(
         ring, {"s": ring.var("x") ** 3, "t": ring.var("t")}
