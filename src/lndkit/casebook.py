@@ -405,7 +405,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
 
     add(_check("folded_localized_generators", lambda: projections(
         context.folded_slice, "folded projection", (
-            (context.folded_ring.var("x"), 0),
+            (parse_polynomial("x", context.folded_ring), 0),
             (context.folded_ring.zero(), 0),
             (h[1] * Fraction(1, 2), 1),
             (h[2] * Fraction(1, 3), 3),

@@ -261,7 +261,10 @@ def _corrupted(context, name):
     raise KeyError(name)
 
 
-_DRILL_REPORTS = {}
+@pytest.fixture(scope="module")
+def drill_reports():
+    # drill name -> verify_paper report, so each drill runs once
+    return {}
 
 
 # one drill per picture of each statement that holds in several of them
@@ -294,10 +297,10 @@ _DRILL_REPORTS = {}
          "NonInvariantCandidateError: candidate 3*x^3*u - 3*x*v*t + v^3 is not in the kernel"),
     ],
 )
-def test_corruption_drill_witness(context, drill, check, witness):
-    if drill not in _DRILL_REPORTS:
-        _DRILL_REPORTS[drill] = verify_paper(_corrupted(context, drill))
-    assert _status(_DRILL_REPORTS[drill], check).witness == witness
+def test_corruption_drill_witness(context, drill_reports, drill, check, witness):
+    if drill not in drill_reports:
+        drill_reports[drill] = verify_paper(_corrupted(context, drill))
+    assert _status(drill_reports[drill], check).witness == witness
 
 
 def test_verify_paper_kernel_work(monkeypatch):
