@@ -45,7 +45,6 @@ from .groebner import (
     ideal_membership,
     normal_form,
     relation_ideal,
-    s_polynomial,
     subalgebra_membership,
 )
 from .kernel import (
@@ -117,7 +116,6 @@ __all__ = [
     "print_canonical",
     "random_suite",
     "relation_ideal",
-    "s_polynomial",
     "seed_candidates",
     "separates",
     "separating_values",

@@ -11,12 +11,12 @@ normal selection strategy (smallest lcm under the order first, ties
 broken by pair indices; the tag ideals below pop by a weighted lcm
 degree first) and prunes the pair queue with the Gebauer-Moller
 criteria: coprime leading monomials, chains through a
-dividing lcm, and duplicate lcms.  It serves buchberger,
-ideal_membership, relation_ideal, testers that are not lazy and
-multiple_of's engine for a tag of weight 0.  The signature engine
+dividing lcm, and duplicate lcms.  It always completes in full, and
+serves buchberger, ideal_membership, relation_ideal, testers that are
+not lazy and multiple_of's side engine.  The signature engine
 (_SignatureEngine, F5 with Eder-Roune rewriting) serves every lazy
-tester whose tags all weigh more than 0.  A tester's ideal is a graph
-ideal: its quotient is the ring itself, so its generators form a
+tester, and only it completes degree by degree.  A tester's ideal is a
+graph ideal: its quotient is the ring itself, so its generators form a
 regular sequence, and on one the F5 criterion removes every reduction
 to zero, which was most of the Buchberger loop's work there.  On
 relation_ideal's grlex tag order the signature engine is much slower,
@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .errors import ExponentOverflowError, RingMismatchError
@@ -506,13 +506,14 @@ class _Engine(_Basis):
     between the two old lcms.  Retired elements (lead
     divisible by a newer lead) stop forming pairs but keep reducing.
 
-    When every input is homogeneous for the selection weights, the pop
-    degree never decreases, so after complete_to(d) the basis computes
-    exact normal forms for anything of weighted degree at most d; the
-    reducer's full reduction then yields the canonical normal form even
-    though the working basis is not interreduced.  Without selection
-    weights every weight is 0.  Every adjoined element is made
-    primitive, so the basis carries no denominators.
+    Every caller in this module completes it in full.  When every input
+    is homogeneous for the selection weights, the pop degree never
+    decreases, so complete_to(d) would already give exact normal forms
+    for anything of weighted degree at most d; the reducer's full
+    reduction yields the canonical normal form even though the working
+    basis is not interreduced.  Without selection weights every weight
+    is 0.  Every adjoined element is made primitive, so the basis
+    carries no denominators.
     """
 
     __slots__ = ("alive", "pairs")
@@ -597,8 +598,8 @@ class _Engine(_Basis):
 
 class _SignatureEngine(_Basis):
     """Resumable signature-based completion of integer dicts that are
-    homogeneous for positive selection weights: Faugere's F5 criterion
-    (ISSAC 2002) with Eder-Roune rewriting (ISSAC 2013).
+    homogeneous for nonnegative selection weights: Faugere's F5
+    criterion (ISSAC 2002) with Eder-Roune rewriting (ISSAC 2013).
 
     Input i is the module term e_i.  Every entry carries the signature
     of the module element it was built from, a term m*e_i packed as
@@ -609,27 +610,33 @@ class _SignatureEngine(_Basis):
     these integers do: by index, then by m under the order.  Signatures
     pop by weighted degree, then as integers.
 
-    A popped signature is dropped when a recorded syzygy signature
-    divides it, or when the lead of an entry of smaller index divides m
-    (the F5 criterion: m*e_i is then the signature of a syzygy).
-    Otherwise its canonical rewriter, the latest entry whose signature
-    divides it, is multiplied up to it and regular-reduced: a term is
-    reduced only by an entry whose multiplied signature is smaller.  A
-    zero result records a syzygy; one whose lead an entry divides with
-    an equal multiplied signature is dropped; any other is adjoined.
-    An S-pair is never formed on coprime leads (its signature is a
-    Koszul syzygy's) nor on equal multiplied signatures; otherwise it
-    queues the larger one, and only its signature is kept.
+    A popped signature is dropped when the lead of an entry of smaller
+    index divides m (the F5 criterion: m*e_i is then the signature of a
+    module element that evaluates to 0).  Otherwise its canonical
+    rewriter, the latest entry whose signature divides it, is multiplied
+    up to it and regular-reduced: a term is reduced only by an entry
+    whose multiplied signature is smaller.  A zero result is dropped,
+    and so is one whose lead an entry divides with an equal multiplied
+    signature; any other is adjoined.  An S-pair is never formed on
+    coprime leads (its signature is a Koszul relation's) nor on equal
+    multiplied signatures; otherwise it queues the larger one, and only
+    its signature is kept.
 
     The entries are then a Groebner basis up to every popped degree, so
     after complete_to(d) reducer gives exact normal forms below degree
-    d + 1, as _Engine's does; the basis is not minimal, but an entry
-    whose lead an earlier lead divides is never the first divisor find
-    returns.  On an ideal generated by a regular sequence, such as a
-    tester's graph ideal, no reduction gives zero.
+    d + 1; the basis is not minimal, but an entry whose lead an earlier
+    lead divides is never the first divisor find returns.  On an ideal
+    generated by a regular sequence, such as a tester's graph ideal, the
+    F5 criterion leaves no reduction to zero, so a zero result is not
+    recorded for later signatures to be checked against.
+
+    A tag of weight 0, that of a constant element c, is safe: its
+    generator c - X has degree 0, so its index is below that of every
+    input of positive degree, and its lead X is shared by no other
+    lead.  So it never enters a pair and only reduces.
     """
 
-    __slots__ = ("bits", "sigs", "lowered", "members", "syzygies", "inputs", "bound")
+    __slots__ = ("bits", "sigs", "lowered", "members", "inputs", "bound")
 
     def __init__(
         self, pdicts: Sequence[dict], packing: _Packing, weights: Sequence[int]
@@ -642,8 +649,6 @@ class _SignatureEngine(_Basis):
         self.lowered: list[int] = []
         # the entries of each signature index, as a bit set
         self.members = [0] * len(pdicts)
-        # per signature index, its recorded syzygy signatures
-        self.syzygies: dict[int, list[int]] = {}
         self.inputs: dict[int, dict] = {}
         # the signature being reduced
         self.bound = 0
@@ -679,9 +684,6 @@ class _SignatureEngine(_Basis):
         guard = self.packing.guard
         index = sig >> self.bits
         raised = sig | guard
-        for s in self.syzygies.get(index, ()):
-            if (raised - s) & guard == guard:
-                return None
         basis = self.basis
         sigs = self.sigs
         below = index << self.bits
@@ -743,7 +745,6 @@ class _SignatureEngine(_Basis):
                 return
         remainder, _ = self.reducer.reduce(d, self._regular)
         if not remainder:
-            self.syzygies.setdefault(sig >> self.bits, []).append(sig)
             return
         lead = max(remainder)
         guard = self.packing.guard
@@ -783,20 +784,6 @@ def _common_ring(polys: Sequence[Polynomial]) -> Ring:
         if p.ring != ring:
             raise RingMismatchError("generators live in different rings")
     return ring
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """x^a*f/lc(f) - x^b*g/lc(g), with x^a*lm(f) = x^b*lm(g) their lcm."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("s-polynomial of zero is undefined")
-    ring = _common_ring([f, g])
-    packing = _Packing(order._rows(ring.nvars))
-    ea = _entry(packing.pack_poly(f)[0])
-    eb = _entry(packing.pack_poly(g)[0])
-    plcm = packing.pack(tuple(map(max, packing.unpack(ea[0]), packing.unpack(eb[0]))))
-    # the integer s-polynomial of the primitive parts is lcm(lca, lcb) times it
-    out = _spoly(ea, eb, plcm, packing.guard)
-    return packing.unpack_poly(ring, out, den=lcm(ea[1], eb[1]))
 
 
 def normal_form(
@@ -867,7 +854,7 @@ def _moved(d: dict, moves: tuple[tuple[int, int], ...], mask: int) -> dict:
 
 def _tag_ideal(
     elements: tuple[Polynomial, ...], last: int | None = None
-) -> tuple[Ring, Ring, _Engine | _SignatureEngine, bool, tuple]:
+) -> tuple[Ring, Ring, _Engine | _SignatureEngine, tuple]:
     """The ideal of the den*g_i - den*X_i, one fresh tag X_i per element
     g_i with denominator den, in the ring extended by the tags.
 
@@ -876,13 +863,13 @@ def _tag_ideal(
     reduced basis and every normal form are too, but no reduction needs
     y - X_i to rename y one exponent at a time.  The first such element
     names y.  Returns the ring, the ring of the tags, the engine on the
-    ideal (it holds the packing), whether every element is weighted
-    homogeneous and the moves that rename a packed dict of the ring onto
-    the tags (for _moved).  The engine is a _SignatureEngine when last is
-    given, every element is homogeneous and every tag weighs more than
-    0, and an _Engine otherwise.  A tag's selection weight is the weighted
-    degree of its element (1 for a zero element), so the rename keeps
-    degrees.  The rows (see _graded_rows) eliminate the ring variables;
+    ideal (it holds the packing) and the moves that rename a packed dict
+    of the ring onto the tags (for _moved).  The engine is a
+    _SignatureEngine, which completes lazily, when last is given and
+    every element is weighted homogeneous, and an _Engine otherwise.  A
+    tag's selection weight is the weighted degree of its element (1 for
+    a zero element, 0 for a constant), so the rename keeps degrees.
+    The rows (see _graded_rows) eliminate the ring variables;
     on the tags they are grlex when last is None, else weighted
     reverse-lex by the selection weights (1 in place of 0) with X_last
     taken last.  So a monomial is tag-only exactly when it packs below
@@ -918,12 +905,11 @@ def _tag_ideal(
             d = _moved(d, moves, packing.mask)
         d[units[n + i]] = -den
         ideal.append(d)
-    homogeneous = all(len(ds) <= 1 for ds in degrees)
-    if last is not None and homogeneous and all(weights[n:]):
+    if last is not None and all(len(ds) <= 1 for ds in degrees):
         engine = _SignatureEngine(ideal, packing, weights)
     else:
         engine = _Engine(ideal, packing, weights)
-    return ring, tag_ring, engine, homogeneous, moves
+    return ring, tag_ring, engine, moves
 
 
 @dataclass(frozen=True)
@@ -971,13 +957,13 @@ class SubalgebraTester:
     past the query's weighted degree, which is as far as the answer can
     depend on.  Otherwise the first query completes it.
 
-    A lazy tester whose elements all have positive degree completes by
-    signatures (_SignatureEngine): the g_i - tag_i are a regular
-    sequence, so no pair reduces to zero.  Its basis is not minimal,
-    but the full normal form modulo any Groebner basis through the
-    query's degree is the same, so every answer and representation is
-    the one the Buchberger loop (_Engine) gives; the other testers keep
-    that loop.
+    A lazy tester completes by signatures (_SignatureEngine), constant
+    elements included: the g_i - tag_i are a regular sequence, so no
+    pair reduces to zero.  Its basis is not minimal, but the full normal
+    form modulo any Groebner basis through the query's degree is the
+    same, so every answer and representation is the one the Buchberger
+    loop (_Engine) gives; a tester that is not lazy keeps that loop and
+    completes it in full.
 
     An element that is a ring variable y itself is renamed onto its tag
     (see _tag_ideal), and so is y in every query: the query keeps its
@@ -996,9 +982,10 @@ class SubalgebraTester:
         ):
             raise ValueError(f"last must index one of {len(self.elements)} elements")
         self.last = last
-        self.ring, self.tag_ring, self._engine, self._lazy, self._moves = (
-            _tag_ideal(self.elements, self.last)
+        self.ring, self.tag_ring, self._engine, self._moves = _tag_ideal(
+            self.elements, self.last
         )
+        self._lazy = isinstance(self._engine, _SignatureEngine)
 
     def _complete(self, f: Polynomial, start: int = 0) -> None:
         """Complete the engine as far as reducing f, packed from variable
@@ -1082,7 +1069,7 @@ class SubalgebraTester:
 def relation_ideal(elements: Sequence[Polynomial]) -> RelationIdeal:
     """The ideal of algebraic relations among the given elements, as its
     reduced Groebner basis under grlex on the tags."""
-    ring, tag_ring, engine, _, _ = _tag_ideal(tuple(elements))
+    ring, tag_ring, engine, _ = _tag_ideal(tuple(elements))
     packing = engine.packing
     engine.complete()
     # the relations are the reduced basis's tag-only elements; no lead

@@ -15,7 +15,9 @@ order_key is the textbook definition of each monomial order as a sort
 key on exponent tuples, and tag_order_key that of the subalgebra
 tester's order, both written independently of the weight rows that
 lndkit packs monomials by.  first_divisor is the linear divisor scan on
-exponent tuples, with no packing and no index.
+exponent tuples, with no packing and no index.  s_polynomial is the
+S-polynomial by its definition, in Polynomial arithmetic under
+order_key, with nothing from the packed engine.
 
 The term-dict oracles (naive_evaluate, naive_multiply, naive_apply,
 naive_substitute, naive_orbit_point, naive_projection) redo polynomial
@@ -46,6 +48,18 @@ def order_key(order):
     if order.kind == "elim":
         return lambda m: (sum(m[:k]), m[:k], sum(m[k:]), m[k:])
     raise ValueError(f"unknown order kind {order.kind!r}")
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
+    """x^a*f/lc(f) - x^b*g/lc(g), with x^a*lm(f) = x^b*lm(g) the lcm of
+    their leading monomials under order."""
+    key = order_key(order)
+    lf = max(f.term_dict(), key=key)
+    lg = max(g.term_dict(), key=key)
+    top = tuple(map(max, lf, lg))
+    xa = Polynomial(f.ring, {tuple(t - e for t, e in zip(top, lf)): 1 / f.term_dict()[lf]})
+    xb = Polynomial(g.ring, {tuple(t - e for t, e in zip(top, lg)): 1 / g.term_dict()[lg]})
+    return xa * f - xb * g
 
 
 def tag_order_key(block, weights, last):

@@ -15,6 +15,7 @@ import lndkit.poly as poly
 from lndkit import (
     Check,
     Derivation,
+    NilpotencyCapError,
     Point,
     Slice,
     Stratum,
@@ -101,12 +102,6 @@ def test_context_rejects_bad_wiring(context):
         dataclasses.replace(context, generators=context.generators[:5])
     with pytest.raises(ValueError, match="got 6 and 3"):
         dataclasses.replace(context, folded_generators=context.folded_generators[:3])
-    ring = context.ring
-    runaway = Derivation.from_mapping(
-        ring, {"s": ring.var("x") ** 3, "t": ring.var("t")}
-    )
-    with pytest.raises(ValueError, match="not locally nilpotent"):
-        dataclasses.replace(context, kernel_slice=Slice(runaway, "s", "x"))
     # each derivation and ring is read off its slice, so none can
     # disagree with it
     for slc, d, r in (
@@ -241,6 +236,10 @@ def _corrupted(context, name):
     if name == "main slice without u":
         d = Derivation.from_mapping(ring, {"s": p("x^3"), "t": p("s"), "v": p("x^2")})
         return dataclasses.replace(context, kernel_slice=Slice(d, "s", "x"))
+    if name == "main slice with D(t) = t":
+        # not locally nilpotent, yet a context: verify_paper reports it
+        d = Derivation.from_mapping(ring, {"s": p("x^3"), "t": p("t")})
+        return dataclasses.replace(context, kernel_slice=Slice(d, "s", "x"))
     if name == "f2 + t":
         return dataclasses.replace(context, generators=f[:1] + (f[1] + p("t"),) + f[2:])
     if name == "quotient slice on t only":
@@ -271,6 +270,8 @@ def drill_reports():
 @pytest.mark.parametrize(
     "drill, check, witness",
     [
+        ("main slice with D(t) = t", "flows_terminate", "some variable never reaches zero"),
+        ("main slice with D(t) = t", "iteration_depths", "main depths (1, 2, None, 1, 1)"),
         ("main slice without u", "iteration_depths", "main depths (1, 2, 3, 1, 2)"),
         ("quotient slice on t only", "iteration_depths", "quotient depths (1, 2, 1, 1)"),
         ("folded slice without u", "iteration_depths", "folded depths (1, 2, 3, 1)"),
@@ -359,6 +360,30 @@ def test_random_suite_validation():
         random_suite(1, 0)
     with pytest.raises(ValueError):
         random_suite(1, -5)
+
+
+def test_random_suite_keeps_first_failures(context):
+    # f2 + t is not invariant, and every sample shows it: each check it
+    # breaks reports its first failing sample, and the flow and recovery
+    # checks, which read no f2, pass
+    report = random_suite(1, 3, _corrupted(context, "f2 + t"))
+    point = (Fraction(0), Fraction(0), Fraction(55, 98), Fraction(96), Fraction(39, 29))
+    assert {c.name: c.witness for c in report.checks} == {
+        "random_orbit_invariance": "sample 0: values changed along the flow at 66/49",
+        "random_core_points_vanish": f"sample 0: nonzero value at x = s = 0 point {point}",
+        "random_matched_pairs_connected": None,
+        "random_fiber_pairs_split_by_last": "sample 0: matched pair separated",
+        "random_quotient_recovery": None,
+    }
+    later = random_suite(2, 2, _corrupted(context, "f2 + t"))
+    assert [c.ok for c in later.checks] == [c.ok for c in report.checks]
+
+
+def test_random_suite_on_a_runaway_flow(context):
+    # the flow of a derivation that is not locally nilpotent has no
+    # closed form, so no sample can be drawn
+    with pytest.raises(NilpotencyCapError):
+        random_suite(1, 1, _corrupted(context, "main slice with D(t) = t"))
 
 
 def test_random_suite_large(random_report):

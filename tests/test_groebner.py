@@ -4,11 +4,13 @@ relation ideals, and subalgebra membership.
 The packed engine is differentially tested against the textbook order
 keys of oracles.order_key and oracles.tag_order_key, normal_form against
 the definition of a remainder, buchberger against pinned classical
-bases and its own S-polynomial certificate, and relation_ideal and
+bases and an S-polynomial certificate (the S-polynomial from its
+definition, oracles.s_polynomial), and relation_ideal and
 SubalgebraTester against linear-algebra oracles that know no Groebner
 theory at all (see oracles.py).
 """
 
+import contextlib
 import json
 import pathlib
 import random
@@ -33,7 +35,6 @@ from lndkit import (
     normal_form,
     parse_polynomial,
     relation_ideal,
-    s_polynomial,
     subalgebra_membership,
 )
 from lndkit.groebner import (
@@ -323,39 +324,7 @@ def test_overflow_surfaces_through_buchberger():
         buchberger([big + Y2], MonomialOrder.grevlex())
 
 
-# -- s_polynomial and normal_form ---------------------------------------------
-
-
-def test_s_polynomial_pinned():
-    f = X**3 - 2 * X * Y
-    g = X**2 * Y - 2 * Y**2 + X
-    s = s_polynomial(f, g, MonomialOrder.grlex())
-    assert s == -(X**2)
-    # non-unit leading coefficients: x^a*f/lc(f) - x^b*g/lc(g), scale-free
-    f, g = 2 * X**3 - 3 * X * Y, 3 * X**2 * Y - 2 * Y**2 + X
-    expected = Fraction(1, 2) * Y * f - Fraction(1, 3) * X * g
-    assert expected == Fraction(-5, 6) * X * Y**2 - Fraction(1, 3) * X**2
-    assert s_polynomial(f, g, MonomialOrder.grlex()) == expected
-    assert s_polynomial(Fraction(5, 7) * f, -g, MonomialOrder.grlex()) == expected
-    with pytest.raises(ValueError):
-        s_polynomial(f, R3.zero(), MonomialOrder.grlex())
-
-
-@given(st.sampled_from(ORDERS), _small_polys(R3), _small_polys(R3))
-def test_s_polynomial_matches_definition(order, f, g):
-    key = oracles.order_key(order)
-    lf = max(f.term_dict(), key=key)
-    lg = max(g.term_dict(), key=key)
-    top = tuple(max(a, b) for a, b in zip(lf, lg))
-    xa = Polynomial(R3, {tuple(t - e for t, e in zip(top, lf)): 1})
-    xb = Polynomial(R3, {tuple(t - e for t, e in zip(top, lg)): 1})
-    expected = xa * f * (1 / f.term_dict()[lf]) - xb * g * (1 / g.term_dict()[lg])
-    assert s_polynomial(f, g, order) == expected
-
-
-def test_s_polynomial_self_cancels():
-    f = X**2 + Y
-    assert s_polynomial(f, f, MonomialOrder.grlex()).is_zero()
+# -- normal_form ----------------------------------------------------------------
 
 
 def test_normal_form_remainder_properties():
@@ -456,7 +425,7 @@ def test_buchberger_certificate():
             assert normal_form(g, basis, order).is_zero()
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                s = s_polynomial(basis[i], basis[j], order)
+                s = oracles.s_polynomial(basis[i], basis[j], order)
                 assert normal_form(s, basis, order).is_zero()
 
 
@@ -580,12 +549,16 @@ def test_membership_round_trip():
 
 
 @st.composite
-def _homogeneous_elements(draw, most=3):
+def _homogeneous_elements(draw, most=3, constants=False):
     """Two to most nonzero homogeneous polynomials of R2, degrees 1 to 3;
     one in four is a bare variable, which the tester renames onto its
-    tag."""
+    tag.  With constants, one in five is instead a nonzero constant,
+    whose tag weighs 0."""
     elements = []
     for _ in range(draw(st.integers(2, most))):
+        if constants and draw(st.integers(0, 4)) == 0:
+            elements.append(R2.const(draw(_SCALARS)))
+            continue
         if draw(st.integers(0, 3)) == 0:
             elements.append(draw(st.sampled_from([X2, Y2])))
             continue
@@ -619,7 +592,7 @@ def test_membership_agrees_with_brute_force(elements, data):
 
 
 @settings(max_examples=30)
-@given(_homogeneous_elements(most=4), st.data())
+@given(_homogeneous_elements(most=4, constants=True), st.data())
 def test_multiple_of_agrees_with_ideal_membership(elements, data):
     # each tag in turn is taken last and decided by one reduction
     relations = relation_ideal(elements)
@@ -634,9 +607,30 @@ def test_multiple_of_agrees_with_ideal_membership(elements, data):
                 assert tester.multiple_of(query) == expected
 
 
+@contextlib.contextmanager
+def _zero_regular_reductions():
+    """While open, collects the engine of each regular reduction (one
+    that a _SignatureEngine runs with its _regular) that leaves an
+    empty remainder."""
+    zeros = []
+    reduce = _Reducer.reduce
+
+    def counted(self, f, find=None):
+        remainder, den = reduce(self, f, find)
+        if find is not None and not remainder:
+            zeros.append(find.__self__)
+        return remainder, den
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Reducer, "reduce", counted)
+        yield zeros
+
+
 def _buchberger_twin(tester):
     """A tester on the same elements, packing and weights whose engine
-    is the Buchberger _Engine instead of tester's signature engine."""
+    is the Buchberger _Engine instead of tester's signature engine.  It
+    keeps the _lazy it read off that engine, so it completes degree by
+    degree too."""
     twin = SubalgebraTester(tester.elements, tester.last)
     engine = twin._engine
     assert isinstance(engine, _SignatureEngine) and not engine.basis
@@ -645,22 +639,24 @@ def _buchberger_twin(tester):
 
 
 @settings(max_examples=30)
-@given(_homogeneous_elements(most=4), st.data())
+@given(_homogeneous_elements(most=4, constants=True), st.data())
 def test_signature_tester_matches_buchberger(elements, data):
     # full normal forms modulo any Groebner basis through the query's
-    # degree agree, so both engines give every answer and representation
+    # degree agree, so both engines give every answer and representation,
+    # also when a constant element's tag weighs 0
     last = data.draw(st.integers(0, len(elements) - 1))
     tester = SubalgebraTester(elements, last)
     twin = _buchberger_twin(tester)
     substitute = RingMap(tester.tag_ring, R2, tuple(elements))
     lift, nudge = (data.draw(_polys(tester.tag_ring, 2, 3, _SCALARS)) for _ in "ln")
     member = substitute(lift)
-    for f in (member, member + substitute(nudge) * X2 + Y2**2):
-        assert tester.representation(f) == twin.representation(f)
-    tag = tester.tag_ring.var(tester.tag_ring.variables[last])
-    for relation in (*relation_ideal(elements).generators, lift, tag * lift + nudge):
-        assert tester.multiple_of(relation) == twin.multiple_of(relation)
-    assert not tester._engine.syzygies
+    with _zero_regular_reductions() as zeros:
+        for f in (member, member + substitute(nudge) * X2 + Y2**2):
+            assert tester.representation(f) == twin.representation(f)
+        tag = tester.tag_ring.var(tester.tag_ring.variables[last])
+        for relation in (*relation_ideal(elements).generators, lift, tag * lift + nudge):
+            assert tester.multiple_of(relation) == twin.multiple_of(relation)
+    assert len(zeros) == 0
 
 
 @pytest.mark.parametrize("first", ["x^3", "x^3 + 1"])
@@ -688,11 +684,13 @@ def test_multiple_of_completes_the_ideal(first):
 def test_multiple_of_with_a_constant_element():
     # a constant element weighs 0, so its tag taken last is decided on
     # an engine of its own: J holds X1 - 2, so 1 lies in J + (X1), but
-    # no lead of J's entries or X1 divides 1
+    # no lead of J's entries or X1 divides 1.  The tester itself still
+    # completes lazily, by signatures
     elements = [R2.const(2), X2 * Y2, X2 + Y2]
     relations = relation_ideal(elements).generators
     for last in range(len(elements)):
         tester = SubalgebraTester(elements, last)
+        assert isinstance(tester._engine, _SignatureEngine)
         one = tester.tag_ring.one()
         tag = tester.tag_ring.var(tester.tag_ring.variables[last])
         assert tester.multiple_of(one) == (last == 0)
@@ -788,13 +786,14 @@ def test_signature_tester_matches_buchberger_on_round_three(growth3, context):
     twin = _buchberger_twin(tester)
     checks = growth3.outcomes[2].checks
     quotients = [c.quotient for c in checks if c.quotient]
-    reps = [tester.representation(q) for q in quotients]
-    assert reps == [twin.representation(q) for q in quotients]
-    assert len(quotients) == 52 and reps.count(None) == 40
-    decided = [tester.multiple_of(c.relation) for c in checks]
-    assert decided == [twin.multiple_of(c.relation) for c in checks]
+    with _zero_regular_reductions() as zeros:
+        reps = [tester.representation(q) for q in quotients]
+        assert reps == [twin.representation(q) for q in quotients]
+        assert len(quotients) == 52 and reps.count(None) == 40
+        decided = [tester.multiple_of(c.relation) for c in checks]
+        assert decided == [twin.multiple_of(c.relation) for c in checks]
     assert decided == [c.representation is not None for c in checks]
-    assert not tester._engine.syzygies
+    assert len(zeros) == 0
 
 
 def test_signature_engine_keeps_every_relation(context):
@@ -811,14 +810,18 @@ def test_signature_engine_keeps_every_relation(context):
         modulo_x(parse_polynomial(text, ring))
         for text in pinned["round3_candidates"][:18]
     )
-    _, tag_ring, engine, homogeneous, _ = _tag_ideal(images)
-    assert homogeneous and isinstance(engine, _Engine)
+    for g in images:  # weighted homogeneous, or zero
+        degrees = {sum(w * e for w, e in zip(ring.weights, m)) for m in g.term_dict()}
+        assert len(degrees) <= 1
+    _, tag_ring, engine, _ = _tag_ideal(images)
+    assert isinstance(engine, _Engine)
     packing = engine.packing
     # _Engine adjoins its inputs on construction and steps only on demand
     inputs = [{**dict(tail), lm: lc} for lm, lc, tail in engine.basis]
     signature = _SignatureEngine(inputs, packing, engine.weights)
-    signature.complete()
-    assert not signature.syzygies
+    with _zero_regular_reductions() as zeros:
+        signature.complete()
+    assert len(zeros) == 0
     head = [e for e in signature.basis if e[0] < 1 << packing.shifts[0]]
     generators = tuple(
         packing.unpack_poly(tag_ring, d, ring.nvars, d[max(d)])
@@ -849,9 +852,10 @@ def test_signature_frontier_work(context, monkeypatch):
     candidates = [parse_polynomial(text, ring) for text in pinned["round3_candidates"]]
     tester = SubalgebraTester(candidates, candidates.index(ring.var("x")))
     engine = tester._engine
-    engine.complete_to(40)
+    with _zero_regular_reductions() as zeros:
+        engine.complete_to(40)
     assert isinstance(engine, _SignatureEngine)
-    assert len(engine.basis) == 368 and not engine.syzygies
+    assert len(engine.basis) == 368 and len(zeros) == 0
     assert len(pops) == 1500 and len(lookups) == 23874
 
 
@@ -871,7 +875,6 @@ def test_coefficients_are_plain_fractions(context):
     results = [
         *buchberger([f, g], order),
         normal_form(X**4 + Y, [f, g], order),
-        s_polynomial(f, g, order),
         tester.representation(X2**2 + Y2**2),
         SubalgebraTester(images).representation(s**6 - s**2),
         *relation_ideal(images).generators,

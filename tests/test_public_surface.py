@@ -18,12 +18,6 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lndkit"
 
-ALLOWED = {
-    # the only direct check of _spoly, which the Groebner engine runs on
-    # every pair; tests compare it against a reference s-polynomial
-    "s_polynomial",
-}
-
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
 
@@ -78,7 +72,6 @@ def uncalled_public_names() -> list[str]:
         entry for entry in defined
         if (name := entry.rsplit(":", 1)[1]) not in referenced
         and name not in words
-        and name not in ALLOWED
     ]
 
 
