@@ -22,7 +22,6 @@ ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -33,16 +32,18 @@ from .errors import LndError
 from .groebner import relation_ideal, subalgebra_membership
 from .kernel import KernelStatus, Slice, kernel_check, kernel_compute, slice_kernel_generators
 from .parse import parse_polynomial
-from .poly import LaurentElement, Point, Polynomial, Ring, RingMap
+from .poly import LaurentElement, Point, Polynomial, Ring, RingMap, _Record
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One verified statement: ok when there is no witness, FAIL with
     the witness that refutes it otherwise."""
 
-    name: str
-    witness: str | None = None
+    _fields = ("name", "witness")
+
+    def __init__(self, name: str, witness: str | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -53,9 +54,11 @@ class Check:
         return "ok" if self.ok else "FAIL"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[Check, ...]
+class VerificationReport(_Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -83,8 +86,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class PaperContext:
+class PaperContext(_Record):
     """The bundled example: main derivation, its two companion pictures,
     and the named invariants of each.
 
@@ -95,16 +97,30 @@ class PaperContext:
     flows_terminate.
     """
 
-    generators: tuple[Polynomial, ...]          # f1..f6
-    kernel_slice: Slice                         # s over x^3
-    quotient_map: RingMap                       # x -> 0
-    quotient_kernel: tuple[Polynomial, ...]     # s, 2su - t^2, v
-    quotient_slice: Slice                       # Delta: t over s
-    fold_map: RingMap                           # s -> x*v
-    folded_generators: tuple[Polynomial, ...]   # h1..h4
-    folded_slice: Slice                         # Delta': v over x^2
+    _fields = (
+        "generators", "kernel_slice", "quotient_map", "quotient_kernel",
+        "quotient_slice", "fold_map", "folded_generators", "folded_slice",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        generators: tuple[Polynomial, ...],          # f1..f6
+        kernel_slice: Slice,                         # s over x^3
+        quotient_map: RingMap,                       # x -> 0
+        quotient_kernel: tuple[Polynomial, ...],     # s, 2su - t^2, v
+        quotient_slice: Slice,                       # Delta: t over s
+        fold_map: RingMap,                           # s -> x*v
+        folded_generators: tuple[Polynomial, ...],   # h1..h4
+        folded_slice: Slice,                         # Delta': v over x^2
+    ):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "kernel_slice", kernel_slice)
+        object.__setattr__(self, "quotient_map", quotient_map)
+        object.__setattr__(self, "quotient_kernel", quotient_kernel)
+        object.__setattr__(self, "quotient_slice", quotient_slice)
+        object.__setattr__(self, "fold_map", fold_map)
+        object.__setattr__(self, "folded_generators", folded_generators)
+        object.__setattr__(self, "folded_slice", folded_slice)
         counts = (len(self.generators), len(self.folded_generators))
         if counts != (6, 4):
             raise ValueError(f"expected f1..f6 and h1..h4, got {counts[0]} and {counts[1]}")
@@ -336,6 +352,10 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
 
     add(_check("derivation_weight_preserving", derivation_homogeneous))
 
+    # the exponential, built on first use by the two checks that read it,
+    # so an LndError it raises is each one's witness
+    exponential = lru_cache(maxsize=1)(lambda: D.exponential("r"))
+
     def exponential_images() -> str | None:
         expected = (
             "x",
@@ -344,7 +364,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
             "u + r*t + 1/2*r^2*s + 1/6*r^3*x^3",
             "v + r*x^2",
         )
-        flow = D.exponential("r")
+        flow = exponential()
         for name, text, image in zip(ring.variables, expected, flow.images):
             if image != ext_parse(text):
                 return f"flow of {name} is {image}"
@@ -368,7 +388,7 @@ def verify_paper(context: PaperContext | None = None) -> VerificationReport:
     def invariants_constant_on_flows() -> str | None:
         # each f_i evaluated on the flowed variables, which never
         # applies D to f_i itself
-        flow = D.exponential("r")
+        flow = exponential()
         embed = RingMap.from_mapping(ring, flow.target, {})
         for i, g in enumerate(f, start=1):
             if flow(g) != embed(g):

@@ -10,11 +10,10 @@ the induced flow on points and on polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, lcm
 from operator import add
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import NilpotencyCapError, RingMismatchError
 from .poly import (
@@ -25,6 +24,7 @@ from .poly import (
     RingMap,
     Scalar,
     _capped,
+    _Record,
 )
 
 # Iterated application stops with an error/None after this many steps:
@@ -33,20 +33,19 @@ from .poly import (
 NILPOTENCY_CAP = 64
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Record):
     """A derivation of a polynomial ring, given by variable images."""
 
-    ring: Ring
-    images: tuple[Polynomial, ...]
+    _fields = ("ring", "images")
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        if len(images) != self.ring.nvars:
+    def __init__(self, ring: Ring, images: Iterable[Polynomial]):
+        images = tuple(images)
+        if len(images) != ring.nvars:
             raise ValueError("one image per ring variable required")
         for img in images:
-            if img.ring != self.ring:
+            if img.ring != ring:
                 raise RingMismatchError("image lies outside the ring")
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "images", images)
 
     @classmethod
@@ -73,7 +72,7 @@ class Derivation:
         one, numerator * L / b_i).  Adding the stored exponents to those
         of a term of f that has x_i gives a term of D(x_i) * df/dx_i.
 
-        Kept in the instance dict, outside the dataclass fields, like
+        Kept in the instance dict, apart from the fields, like
         _variable_iterates.
         """
         nonzero = [(i, img) for i, img in enumerate(self.images) if img]
@@ -146,8 +145,8 @@ class Derivation:
     def _variable_iterates(self) -> tuple[tuple[Polynomial, ...], ...]:
         """The nonzero iterates of each ring variable, derived once.
 
-        Kept in the instance dict, outside the dataclass fields, so
-        equality and hashing do not see it.  A derivation that is not
+        Kept in the instance dict, apart from the fields, so equality
+        and hashing do not see it.  A derivation that is not
         locally nilpotent raises NilpotencyCapError here every time.
         """
         return tuple(

@@ -55,13 +55,12 @@ last, without reducing it in the whole ring.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .errors import ExponentOverflowError, RingMismatchError
-from .poly import Polynomial, Ring, RingMap
+from .poly import Polynomial, Ring, RingMap, _Record
 
 # the one coefficient type, named for tools that report it
 _Q = Fraction
@@ -95,8 +94,7 @@ def _graded_rows(
     ]
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Record):
     """A monomial order.  Every one is a list of integer weight rows
     (Robbiano, "Term orderings on the polynomial ring", EUROCAL 1985);
     _rows gives them and _Packing packs by them.  The fields are
@@ -104,19 +102,19 @@ class MonomialOrder:
     a nonnegative int for elimination and None otherwise.  from_name
     reads every order str writes."""
 
-    kind: str
-    block: int | None = None
+    _fields = ("kind", "block")
 
-    def __post_init__(self):
-        if self.kind in ("lex", "grlex", "grevlex"):
-            if self.block is not None:
-                raise ValueError(f"order {self.kind} takes no block size")
-        elif self.kind == "elim":
-            block = self.block
+    def __init__(self, kind: str, block: int | None = None):
+        if kind in ("lex", "grlex", "grevlex"):
+            if block is not None:
+                raise ValueError(f"order {kind} takes no block size")
+        elif kind == "elim":
             if not isinstance(block, int) or isinstance(block, bool) or block < 0:
                 raise ValueError("block size must be a nonnegative int")
         else:
-            raise ValueError(f"unknown order kind {self.kind!r}")
+            raise ValueError(f"unknown order kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "block", block)
 
     @classmethod
     def lex(cls) -> "MonomialOrder":
@@ -912,8 +910,7 @@ def _tag_ideal(
     return ring, tag_ring, engine, moves
 
 
-@dataclass(frozen=True)
-class RelationIdeal:
+class RelationIdeal(_Record):
     """All polynomial relations among a fixed list of ring elements.
 
     tag_ring has one tag variable per element, in element order.
@@ -922,8 +919,11 @@ class RelationIdeal:
     by leading monomial.
     """
 
-    tag_ring: Ring
-    generators: tuple[Polynomial, ...]
+    _fields = ("tag_ring", "generators")
+
+    def __init__(self, tag_ring: Ring, generators: tuple[Polynomial, ...]):
+        object.__setattr__(self, "tag_ring", tag_ring)
+        object.__setattr__(self, "generators", generators)
 
     def evaluate(self, relation: Polynomial, elements: Sequence[Polynomial]) -> Polynomial:
         """Substitute the original elements back into a relation; the

@@ -32,7 +32,6 @@ round budget runs out.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -41,10 +40,9 @@ from typing import Sequence
 from .derivation import Derivation
 from .errors import NonInvariantCandidateError, SliceError
 from .groebner import SubalgebraTester, relation_ideal
-from .poly import LaurentElement, Polynomial, RingMap, grlex_key
+from .poly import LaurentElement, Polynomial, RingMap, _Record, grlex_key
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(_Record):
     """A slice datum: D(var) = coefficient * loc_var**power, D(loc_var) = 0.
 
     Construction reads coefficient and power off the image of var and
@@ -53,29 +51,26 @@ class Slice:
     loc_var, var / (coefficient * loc_var**power) maps to 1 under D.
     """
 
-    derivation: Derivation
-    var: str
-    loc_var: str
-    coefficient: Fraction = field(init=False)
-    power: int = field(init=False)
+    _fields = ("derivation", "var", "loc_var", "coefficient", "power")
 
-    def __post_init__(self):
-        ring = self.derivation.ring
-        ring.index(self.var)
-        if not self.derivation.image(self.loc_var).is_zero():
-            raise SliceError(f"localized variable {self.loc_var} is not invariant")
-        image = self.derivation.image(self.var)
+    def __init__(self, derivation: Derivation, var: str, loc_var: str):
+        ring = derivation.ring
+        ring.index(var)
+        if not derivation.image(loc_var).is_zero():
+            raise SliceError(f"localized variable {loc_var} is not invariant")
+        image = derivation.image(var)
         terms = image.term_dict()
         if len(terms) == 1:
             ((mono, coeff),) = terms.items()
-            power = mono[ring.index(self.loc_var)]
-            if image == ring.var(self.loc_var) ** power * coeff:
+            power = mono[ring.index(loc_var)]
+            if image == ring.var(loc_var) ** power * coeff:
+                object.__setattr__(self, "derivation", derivation)
+                object.__setattr__(self, "var", var)
+                object.__setattr__(self, "loc_var", loc_var)
                 object.__setattr__(self, "coefficient", coeff)
                 object.__setattr__(self, "power", power)
                 return
-        raise SliceError(
-            f"image of {self.var} is not a monomial in {self.loc_var}: {image}"
-        )
+        raise SliceError(f"image of {var} is not a monomial in {loc_var}: {image}")
 
     @cached_property
     def _projections(self) -> tuple[LaurentElement, ...]:
@@ -84,8 +79,8 @@ class Slice:
         the numerator N_K over loc**(p*K), where N_0 = g and
         N_k = N_(k-1) * loc**p + D**k(g) * (-y/c)**k / k!.
 
-        Kept in the instance dict, outside the dataclass fields, so
-        equality and hashing do not see it.
+        Kept in the instance dict, apart from the fields, so equality
+        and hashing do not see it.
         """
         ring = self.derivation.ring
         lift = ring.var(self.loc_var) ** self.power
@@ -147,36 +142,52 @@ class KernelStatus(Enum):
     NEW_GENERATORS = "new-generators"
 
 
-@dataclass(frozen=True)
-class SufficiencyCheck:
+class SufficiencyCheck(_Record):
     """Record of one localized-generator containment test: whether the
     numerator of the generator lies in the candidate algebra."""
 
-    variable: str
-    generator: LaurentElement
-    member: bool
+    _fields = ("variable", "generator", "member")
+
+    def __init__(self, variable: str, generator: LaurentElement, member: bool):
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "member", member)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(_Record):
     """Record of one relation: the candidates substituted into it,
     divided once by the localized variable, and tested for membership."""
 
-    relation: Polynomial
-    quotient: Polynomial
-    representation: Polynomial | None
+    _fields = ("relation", "quotient", "representation")
+
+    def __init__(
+        self,
+        relation: Polynomial,
+        quotient: Polynomial,
+        representation: Polynomial | None,
+    ):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "representation", representation)
 
 
-@dataclass(frozen=True)
-class KernelCheckOutcome:
+class KernelCheckOutcome(_Record):
     """One kernel_check round: the new kernel elements, a RelationCheck
     per relation, each in the relation ideal's tag ring, and a
     SufficiencyCheck per ring variable.  The round is CONFIRMED exactly
     when there are no new elements."""
 
-    new_elements: tuple[Polynomial, ...]
-    checks: tuple[RelationCheck, ...]
-    sufficiency: tuple[SufficiencyCheck, ...]
+    _fields = ("new_elements", "checks", "sufficiency")
+
+    def __init__(
+        self,
+        new_elements: tuple[Polynomial, ...],
+        checks: tuple[RelationCheck, ...],
+        sufficiency: tuple[SufficiencyCheck, ...],
+    ):
+        object.__setattr__(self, "new_elements", new_elements)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "sufficiency", sufficiency)
 
     @property
     def status(self) -> KernelStatus:
@@ -280,11 +291,18 @@ def _relations(candidates: tuple[Polynomial, ...], slc: Slice) -> tuple[Polynomi
     return relation_ideal([reduce_map(f) for f in candidates]).generators
 
 
-@dataclass(frozen=True)
-class KernelComputeResult:
-    generators: tuple[Polynomial, ...]
-    counts: tuple[int, ...]  # candidate count at the seed and after each round
-    outcomes: tuple[KernelCheckOutcome, ...]
+class KernelComputeResult(_Record):
+    _fields = ("generators", "counts", "outcomes")
+
+    def __init__(
+        self,
+        generators: tuple[Polynomial, ...],
+        counts: tuple[int, ...],  # candidate count at the seed and after each round
+        outcomes: tuple[KernelCheckOutcome, ...],
+    ):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def stabilized(self) -> bool:

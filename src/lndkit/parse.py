@@ -20,11 +20,10 @@ variables in ring order, so parse(print(p)) == p exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExponentOverflowError, ParseError
-from .poly import EXPONENT_CAP, Polynomial, Ring, _check_exponent
+from .poly import EXPONENT_CAP, Polynomial, Ring, _check_exponent, _Record
 
 _SYMBOLS = set("+-*^/()")
 
@@ -60,11 +59,14 @@ def _rational_text(q: Fraction) -> str:
     return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | one of _SYMBOLS | "end"
-    text: str
-    pos: int
+class _Token(_Record):
+    _fields = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        # kind: "num" | "name" | one of _SYMBOLS | "end"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

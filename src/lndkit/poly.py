@@ -15,15 +15,20 @@ by the chain behind ** and kept on the map; rational points (Point);
 and elements of the localization at a single variable (LaurentElement),
 each a normalized polynomial numerator over a power of that variable,
 with no arithmetic of their own.
+
+The records of lndkit (Ring, Point and DegreeSpread here, and those of
+the other modules) are plain classes on _Record, written out by hand
+for import cost: the dataclasses module would add to every cold
+`import lndkit` its own import, which brings in inspect, and the
+methods it generates and compiles for each record.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -49,8 +54,47 @@ def grlex_key(mono: tuple[int, ...]) -> tuple:
     return (sum(mono), mono)
 
 
-@dataclass(frozen=True)
-class Ring:
+class _Record:
+    """Base of the immutable records.  A record names its fields in
+    _fields; its __init__ checks its arguments and stores each field by
+    object.__setattr__, past __setattr__, which raises, as __delattr__
+    does.  (On CPython, reading or updating self.__dict__ there would
+    give every record a dict object of its own, one more for the
+    garbage collector to track.)  Two records are equal when they are
+    of one class and their field tuples are equal; a record hashes as
+    its field tuple and prints as Name(field=value, ...).  Values that
+    a record derives once (functools.cached_property) are kept in the
+    instance dict, where none of these look."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        # the field tuple, also for a record of one field
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Ring(_Record):
     """A polynomial ring over the rationals with named variables.
 
     weights assign a positive integer weight to each variable and induce
@@ -59,24 +103,24 @@ class Ring:
     Ring(v, (1,)*n).
     """
 
-    variables: tuple[str, ...]
-    weights: tuple[int, ...] | None = None
+    _fields = ("variables", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
+    def __init__(self, variables: Iterable[str], weights: Iterable[int] | None = None):
+        variables = tuple(variables)
+        if not variables:
             raise ValueError("ring needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        for name in self.variables:
+        for name in variables:
             if not _is_identifier(name):
                 raise ValueError(f"bad variable name: {name!r}")
-        weights = (1,) * self.nvars if self.weights is None else tuple(self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != self.nvars:
+        weights = (1,) * len(variables) if weights is None else tuple(weights)
+        if len(weights) != len(variables):
             raise ValueError("one weight per variable required")
         if any(not isinstance(w, int) or isinstance(w, bool) or w <= 0 for w in weights):
             raise ValueError("weights must be positive integers")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def nvars(self) -> int:
@@ -221,7 +265,11 @@ class Polynomial:
         """Leading term under the canonical (grlex descending) order."""
         if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms()[0]
+        if self._sorted is not None:
+            return self._sorted[0]
+        # without sorting every term or making a Fraction of each
+        lead = max(self._num, key=grlex_key)
+        return lead, Fraction(self._num[lead], self._den)
 
     def total_degree(self) -> int:
         """Max total degree of any term; -1 for the zero polynomial."""
@@ -489,27 +537,26 @@ def _product(left: Iterable, right: Iterable) -> dict:
     return {m: c for m, c in acc.items() if c}
 
 
-@dataclass(frozen=True)
-class DegreeSpread:
+class DegreeSpread(_Record):
     """Degree range of an inhomogeneous polynomial."""
 
-    min: int
-    max: int
+    _fields = ("min", "max")
+
+    def __init__(self, min: int, max: int):
+        object.__setattr__(self, "min", min)
+        object.__setattr__(self, "max", max)
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """A rational point of the affine space attached to a ring."""
 
-    ring: Ring
-    coordinates: tuple[Fraction, ...]
+    _fields = ("ring", "coordinates")
 
-    def __post_init__(self):
-        coords = tuple(
-            c if type(c) is Fraction else Fraction(c) for c in self.coordinates
-        )
-        if len(coords) != self.ring.nvars:
+    def __init__(self, ring: Ring, coordinates: Iterable[Scalar]):
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coordinates)
+        if len(coords) != ring.nvars:
             raise ValueError("one coordinate per variable required")
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coordinates", coords)
 
     def coordinate(self, name: str) -> Fraction:

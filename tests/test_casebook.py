@@ -1,7 +1,6 @@
 """The bundled example: context wiring, the fixed verification suite,
 deliberate corruptions, and the randomized suite."""
 
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +15,7 @@ from lndkit import (
     Check,
     Derivation,
     NilpotencyCapError,
+    PaperContext,
     Point,
     Slice,
     Stratum,
@@ -89,19 +89,26 @@ def test_builtin_context_is_cached():
     assert builtin_context() is builtin_context()
 
 
+def _replaced(context, **changes):
+    """PaperContext(...) on the eight fields of context, with changes in
+    place of some, so the constructor's checks run on the result."""
+    fields = {name: getattr(context, name) for name in context._fields}
+    return PaperContext(**{**fields, **changes})
+
+
 def test_context_rejects_bad_wiring(context):
     with pytest.raises(ValueError):
-        dataclasses.replace(context, quotient_map=context.fold_map)
+        _replaced(context, quotient_map=context.fold_map)
     with pytest.raises(ValueError):
-        dataclasses.replace(context, fold_map=context.quotient_map)
+        _replaced(context, fold_map=context.quotient_map)
     # a slice on another ring leaves both maps starting elsewhere
     with pytest.raises(ValueError, match="map ring mismatch"):
-        dataclasses.replace(context, kernel_slice=context.folded_slice)
+        _replaced(context, kernel_slice=context.folded_slice)
     # verify_paper reads f1..f6 and h1..h4 by index
     with pytest.raises(ValueError, match="got 5 and 4"):
-        dataclasses.replace(context, generators=context.generators[:5])
+        _replaced(context, generators=context.generators[:5])
     with pytest.raises(ValueError, match="got 6 and 3"):
-        dataclasses.replace(context, folded_generators=context.folded_generators[:3])
+        _replaced(context, folded_generators=context.folded_generators[:3])
     # each derivation and ring is read off its slice, so none can
     # disagree with it
     for slc, d, r in (
@@ -110,7 +117,7 @@ def test_context_rejects_bad_wiring(context):
         (context.folded_slice, context.folded_derivation, context.folded_ring),
     ):
         assert d is slc.derivation and r is d.ring
-    assert len(dataclasses.fields(context)) == 8
+    assert len(context._fields) == 8
 
 
 def test_project_point(context):
@@ -180,7 +187,7 @@ def test_report_structure_helpers():
     assert text.endswith("1/2 checks passed")
     assert failing.to_json_obj()["checks"][1]["witness"] == "boom"
     # the status is read off the witness: any witness, even "", is a FAIL
-    assert [f.name for f in dataclasses.fields(Check)] == ["name", "witness"]
+    assert list(Check._fields) == ["name", "witness"]
     assert Check("gamma", "").status == "FAIL"
 
 
@@ -190,7 +197,7 @@ def test_report_structure_helpers():
 def test_corrupted_generator_is_caught(context):
     f = context.generators
     # t is not invariant, so f2 + t leaks through the derivation
-    broken = dataclasses.replace(
+    broken = _replaced(
         context, generators=f[:1] + (f[1] + context.ring.var("t"),) + f[2:]
     )
     report = verify_paper(broken)
@@ -207,7 +214,7 @@ def test_corrupted_generator_is_caught(context):
 
 def test_corrupted_folded_generator_is_caught(context):
     h = context.folded_generators
-    broken = dataclasses.replace(
+    broken = _replaced(
         context, folded_generators=h[:3] + (h[3] + context.folded_ring.var("x"),)
     )
     report = verify_paper(broken)
@@ -218,7 +225,7 @@ def test_corrupted_folded_generator_is_caught(context):
 def test_corrupted_quotient_kernel_is_caught(context):
     k = context.quotient_kernel
     flipped = (k[0], -k[1], k[2])
-    broken = dataclasses.replace(context, quotient_kernel=flipped)
+    broken = _replaced(context, quotient_kernel=flipped)
     report = verify_paper(broken)
     assert not report.passed
     assert not _status(report, "quotient_kernel_computed").ok
@@ -235,28 +242,28 @@ def _corrupted(context, name):
     f, h = context.generators, context.folded_generators
     if name == "main slice without u":
         d = Derivation.from_mapping(ring, {"s": p("x^3"), "t": p("s"), "v": p("x^2")})
-        return dataclasses.replace(context, kernel_slice=Slice(d, "s", "x"))
+        return _replaced(context, kernel_slice=Slice(d, "s", "x"))
     if name == "main slice with D(t) = t":
         # not locally nilpotent, yet a context: verify_paper reports it
         d = Derivation.from_mapping(ring, {"s": p("x^3"), "t": p("t")})
-        return dataclasses.replace(context, kernel_slice=Slice(d, "s", "x"))
+        return _replaced(context, kernel_slice=Slice(d, "s", "x"))
     if name == "f2 + t":
-        return dataclasses.replace(context, generators=f[:1] + (f[1] + p("t"),) + f[2:])
+        return _replaced(context, generators=f[:1] + (f[1] + p("t"),) + f[2:])
     if name == "quotient slice on t only":
         d = Derivation.from_mapping(q_ring, {"t": qp("s")})
-        return dataclasses.replace(context, quotient_slice=Slice(d, "t", "s"))
+        return _replaced(context, quotient_slice=Slice(d, "t", "s"))
     if name == "quotient element + t":
         broken = (qp("s"), qp("2*s*u - t^2 + t"), qp("v"))
-        return dataclasses.replace(context, quotient_kernel=broken)
+        return _replaced(context, quotient_kernel=broken)
     if name == "quotient kernel (s, v)":
-        return dataclasses.replace(context, quotient_kernel=(qp("s"), qp("v")))
+        return _replaced(context, quotient_kernel=(qp("s"), qp("v")))
     if name == "folded slice without u":
         d = Derivation.from_mapping(h_ring, {"v": hp("x^2"), "t": hp("x*v")})
-        return dataclasses.replace(context, folded_slice=Slice(d, "v", "x"))
+        return _replaced(context, folded_slice=Slice(d, "v", "x"))
     if name == "h2 + x":
-        return dataclasses.replace(context, folded_generators=(h[0], h[1] + hp("x"), h[2], h[3]))
+        return _replaced(context, folded_generators=(h[0], h[1] + hp("x"), h[2], h[3]))
     if name == "h4 = h2*h3":
-        return dataclasses.replace(context, folded_generators=h[:3] + (h[1] * h[2],))
+        return _replaced(context, folded_generators=h[:3] + (h[1] * h[2],))
     raise KeyError(name)
 
 
@@ -306,7 +313,9 @@ def test_corruption_drill_witness(context, drill_reports, drill, check, witness)
 
 def test_verify_paper_kernel_work(monkeypatch):
     # one run makes 9 kernel_check, 3 kernel_compute, 10 relation_ideal
-    # calls and builds 18 testers, so no check is dropped or repeated.
+    # calls and builds 18 testers, so no check is dropped or repeated,
+    # and 2 exponentials: one that exponential_images and
+    # invariants_constant_on_flows share, one behind orbit_point.
     # A fresh context, so no iterate cached by another test is reused.
     calls = Counter()
 
@@ -324,6 +333,7 @@ def test_verify_paper_kernel_work(monkeypatch):
             if hasattr(module, name):
                 counting(module, name)
     counting(groebner.SubalgebraTester, "__init__")
+    counting(Derivation, "exponential")
     report = verify_paper(builtin_context.__wrapped__())
     assert report.passed and len(report.checks) == len(EXPECTED_CHECKS)
     assert calls == {
@@ -331,6 +341,7 @@ def test_verify_paper_kernel_work(monkeypatch):
         "kernel_compute": 3,
         "relation_ideal": 10,
         "__init__": 18,
+        "exponential": 2,
     }
 
 
