@@ -49,9 +49,11 @@ class Slice(_Record):
     raises SliceError unless that image is one term in loc_var alone and
     loc_var is invariant.  So every Slice is a valid one: after inverting
     loc_var, var / (coefficient * loc_var**power) maps to 1 under D.
+    Like the projections (_projections), coefficient and power follow
+    from the fields, so they are kept apart from them.
     """
 
-    _fields = ("derivation", "var", "loc_var", "coefficient", "power")
+    _fields = ("derivation", "var", "loc_var")
 
     def __init__(self, derivation: Derivation, var: str, loc_var: str):
         ring = derivation.ring
@@ -78,9 +80,6 @@ class Slice(_Record):
         D(y) = c * loc**p and K the last nonzero iterate of g, pi(g) is
         the numerator N_K over loc**(p*K), where N_0 = g and
         N_k = N_(k-1) * loc**p + D**k(g) * (-y/c)**k / k!.
-
-        Kept in the instance dict, apart from the fields, so equality
-        and hashing do not see it.
         """
         ring = self.derivation.ring
         lift = ring.var(self.loc_var) ** self.power

@@ -16,11 +16,11 @@ and elements of the localization at a single variable (LaurentElement),
 each a normalized polynomial numerator over a power of that variable,
 with no arithmetic of their own.
 
-The records of lndkit (Ring, Point and DegreeSpread here, and those of
-the other modules) are plain classes on _Record, written out by hand
-for import cost: the dataclasses module would add to every cold
-`import lndkit` its own import, which brings in inspect, and the
-methods it generates and compiles for each record.
+Every lndkit value (Polynomial, RingMap, LaurentElement, Ring, Point,
+DegreeSpread here, and the records of the other modules) is a plain
+class on _Record, written by hand for import cost: dataclasses would
+add to every cold `import lndkit` its own import, which brings in
+inspect, and the methods it generates and compiles for each record.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def grlex_key(mono: tuple[int, ...]) -> tuple:
 
 
 class _Record:
-    """Base of the immutable records.  A record names its fields in
+    """Base of every immutable value.  A record names its fields in
     _fields; its __init__ checks its arguments and stores each field by
     object.__setattr__, past __setattr__, which raises, as __delattr__
     does.  (On CPython, reading or updating self.__dict__ there would
@@ -64,8 +64,10 @@ class _Record:
     of one class and their field tuples are equal; a record hashes as
     its field tuple and prints as Name(field=value, ...).  Values that
     a record derives once (functools.cached_property) are kept in the
-    instance dict, where none of these look."""
+    instance dict, where none of these look.  The base has no slots
+    (__slots__ = ()), so the slotted Polynomial gets no dict from it."""
 
+    __slots__ = ()
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls):
@@ -160,7 +162,7 @@ def _is_identifier(name: str) -> bool:
     return all(c.isalnum() or c == "_" for c in tail)
 
 
-class Polynomial:
+class Polynomial(_Record):
     """Immutable sparse polynomial: integer numerators keyed by exponent
     tuple over one positive denominator, in lowest terms (gcd of the
     denominator and all numerators is 1), so equal polynomials store
@@ -171,6 +173,7 @@ class Polynomial:
     """
 
     __slots__ = ("ring", "_num", "_den", "_sorted", "_shape", "_square")
+    _fields = ("ring", "_num", "_den")
 
     def __new__(cls, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -206,9 +209,6 @@ class Polynomial:
         for name, value in zip(cls.__slots__, (ring, num, den, None, None, None)):
             object.__setattr__(p, name, value)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
         return (Polynomial._make, (self.ring, self._num, self._den))
@@ -563,7 +563,7 @@ class Point(_Record):
         return self.coordinates[self.ring.index(name)]
 
 
-class RingMap:
+class RingMap(_Record):
     """Ring homomorphism determined by images of the source variables.
 
     apply makes one pass over the terms of its argument and builds one
@@ -573,10 +573,11 @@ class RingMap:
     only images of several terms multiply term dicts.  Each image power
     is built once, on first use, by the image's own _power (the chain
     behind **), and kept on the map for every later call; the square is
-    the one kept on the image.
+    the one kept on the image.  Maps of equal source, target and images
+    are equal: the powers (_powers) are kept apart from those fields.
     """
 
-    __slots__ = ("source", "target", "images", "_powers")
+    _fields = ("source", "target", "images")
 
     def __init__(self, source: Ring, target: Ring, images: Iterable[Polynomial]):
         images = tuple(images)
@@ -585,10 +586,10 @@ class RingMap:
         for img in images:
             if img.ring != target:
                 raise RingMismatchError("image lies outside the target ring")
-        self.source = source
-        self.target = target
-        self.images = images
-        self._powers: defaultdict[int, dict[int, Polynomial]] = defaultdict(dict)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_powers", defaultdict(dict))
 
     @classmethod
     def from_mapping(
@@ -677,7 +678,7 @@ class RingMap:
         return f"RingMap({pairs})"
 
 
-class LaurentElement:
+class LaurentElement(_Record):
     """Element of the localization of a ring at one variable: a
     polynomial numerator over a power of that variable.
 
@@ -685,10 +686,11 @@ class LaurentElement:
     either denom_power is 0, or denom_var does not divide the numerator.
     Over a canonical Polynomial this is a canonical form: equal
     elements have equal numerators and denominator powers.  It is a
-    value only; it has no arithmetic.
+    value only; it has no arithmetic.  With denom_power 0 it equals
+    its numerator, whatever its denom_var.
     """
 
-    __slots__ = ("numerator", "denom_var", "denom_power")
+    _fields = ("numerator", "denom_var", "denom_power")
 
     def __init__(self, numerator: Polynomial, denom_var: str, denom_power: int = 0):
         numerator.ring.index(denom_var)  # validate the name
@@ -701,9 +703,9 @@ class LaurentElement:
             if drop:
                 numerator = numerator.exact_divide_var(denom_var, drop)
                 denom_power -= drop
-        self.numerator = numerator
-        self.denom_var = denom_var
-        self.denom_power = denom_power
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denom_var", denom_var)
+        object.__setattr__(self, "denom_power", denom_power)
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -711,18 +713,14 @@ class LaurentElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, (Polynomial, int, Fraction)):
             return not self.denom_power and self.numerator == other
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        if self.denom_power != other.denom_power:
-            return False
-        if self.denom_power and self.denom_var != other.denom_var:
-            return False
-        return self.numerator == other.numerator
+        if other.__class__ is self.__class__ and not (self.denom_power or other.denom_power):
+            return self.numerator == other.numerator  # whatever the denom_vars
+        return super().__eq__(other)  # of one class and equal fields
 
     def __hash__(self) -> int:
         if not self.denom_power:  # equal to its numerator, so hashed like it
             return hash(self.numerator)
-        return hash((self.numerator, self.denom_var, self.denom_power))
+        return super().__hash__()
 
     def __str__(self) -> str:
         if self.denom_power == 0:

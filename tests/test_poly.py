@@ -656,6 +656,7 @@ def test_laurent_equality_and_str():
     assert str(inv) == "(1) / x"
     assert str(LaurentElement(R3.one(), "x", 2)) == "(1) / x^2"
     assert str(LaurentElement(X, "x", 0)) == "x"
+    assert LaurentElement(Y, "x", 0) == LaurentElement(Y, "z", 0)
     assert hash(LaurentElement(Y, "x", 0)) == hash(LaurentElement(Y, "z", 0))
 
 

@@ -3,14 +3,17 @@ plain classes on poly._Record, not dataclasses, so that importing
 lndkit loads neither the dataclasses module nor inspect.  Each keeps
 what a frozen dataclass gave it: equality and hashing by class and
 field tuple, Name(field=value, ...) reprs, keyword construction and
-immutability."""
+immutability.  Polynomial, RingMap and LaurentElement share the base,
+so no value of lndkit can be changed once built."""
 
 import copy
 import inspect
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -18,8 +21,12 @@ import lndkit
 from lndkit import (
     Check,
     DegreeSpread,
+    LaurentElement,
     MonomialOrder,
     Point,
+    Ring,
+    RingMap,
+    builtin_context,
     kernel_compute,
     random_suite,
     relation_ideal,
@@ -61,6 +68,7 @@ RECORDS = (
     "VerificationReport",
     "PaperContext",
     "_Token",
+    "RingMap",
 )
 
 
@@ -88,6 +96,7 @@ def records(context):
         report,
         context,
         _tokenize("x^2")[0],
+        context.quotient_map,
     )
     return {type(record).__name__: record for record in built}
 
@@ -126,7 +135,7 @@ def test_record_semantics(records, name):
     with pytest.raises(AttributeError):
         record.extra = None
     assert tuple(getattr(record, field) for field in fields) == values
-    if name != "Derivation":  # which prints its images instead
+    if name not in ("Derivation", "RingMap"):  # which print their images instead
         shown = ", ".join(f"{field}={value!r}" for field, value in zip(fields, values))
         assert repr(record) == f"{name}({shown})"
 
@@ -136,3 +145,60 @@ def test_record_reprs():
     assert repr(Check("alpha")) == "Check(name='alpha', witness=None)"
     assert repr(MonomialOrder.grlex()) == "MonomialOrder(kind='grlex', block=None)"
     assert repr(_tokenize("x^2")[1]) == "_Token(kind='^', text='^', pos=1)"
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["deepcopy", "pickle"],
+)
+def test_context_copies_compare_equal(roundtrip):
+    # the context holds its two ring maps as fields, so it compares
+    # equal only when ring maps compare by value
+    context = builtin_context()
+    twin = roundtrip(context)
+    assert twin is not context
+    assert twin == context and hash(twin) == hash(context)
+    assert twin.quotient_map == context.quotient_map
+
+
+def test_ring_map_cannot_be_changed():
+    # the powers a map keeps must never outlive its images
+    ring = Ring(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    swap = RingMap(ring, ring, (y, x))
+    assert swap(x**2) == y**2
+    with pytest.raises(AttributeError):
+        swap.images = (x + 1, y)
+    with pytest.raises(AttributeError):
+        del swap.images
+    assert swap.images == (y, x) and swap(x**2) == y**2
+
+
+def test_laurent_element_cannot_be_changed(context):
+    ring = context.ring
+    elem = LaurentElement(ring.var("s"), "x", 2)
+    kept = {elem}
+    for field in LaurentElement._fields:
+        with pytest.raises(AttributeError):
+            setattr(elem, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(elem, field)
+    assert elem in kept and elem.denom_power == 2
+    assert pickle.loads(pickle.dumps(elem)) == elem == copy.deepcopy(elem)
+    # an instance of a subclass is unequal, as for every record
+    twin = type("Sub", (LaurentElement,), {})(ring.var("s"), "x", 2)
+    assert twin != elem and elem != twin
+
+
+def test_polynomial_cannot_be_changed():
+    ring = Ring(("x", "y"))
+    p = ring.var("x") * Fraction(1, 2) - ring.var("y")
+    for name in ("ring", "_num", "_den"):
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    # slotted: no instance dict, so no memory for one
+    assert not hasattr(p, "__dict__")
+    assert str(p) == "1/2*x - y"
